@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"vbrsim/internal/modelspec"
+	"vbrsim/internal/trunk"
 )
 
 // update regenerates the golden traces instead of comparing against them:
@@ -26,8 +27,9 @@ const (
 
 // goldenSources enumerates every deterministic frame producer that gets a
 // golden trace: the background backends pushed through the marginal
-// transform, plus the serving paths (modelspec.Stream via Spec.Frames —
-// exactly what trafficd emits) on both engines.
+// transform, the serving paths (modelspec.Stream via Spec.Frames — exactly
+// what trafficd emits) on every engine, and a mixed-engine trunk whose
+// components inherit a shared marginal.
 func goldenSources(ctx context.Context) (map[string][]float64, error) {
 	comp, tr, _, err := paperModel()
 	if err != nil {
@@ -64,6 +66,44 @@ func goldenSources(ctx context.Context) (map[string][]float64, error) {
 		return nil, err
 	}
 	out["stream_gop"] = gopFrames
+	tesSpec := modelspec.Spec{
+		Seed:     goldenSeed,
+		Engine:   modelspec.EngineTES,
+		TES:      &modelspec.TESSpec{Alpha: 0.3},
+		Marginal: spec.Marginal,
+	}
+	tesFrames, err := tesSpec.Frames(ctx, 0, goldenFrames, 0)
+	if err != nil {
+		return nil, err
+	}
+	out["stream_tes"] = tesFrames
+	trunkFrames, err := goldenTrunk(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	out["trunk_mixed"] = trunkFrames
+	return out, nil
+}
+
+// goldenTrunk plays a block + gop + tes trunk under a shared marginal: the
+// block and tes components inherit it, the gop component keeps its own.
+func goldenTrunk(ctx context.Context, paper modelspec.Spec) ([]float64, error) {
+	spec := &modelspec.TrunkSpec{
+		Seed: goldenSeed,
+		Components: []modelspec.TrunkComponent{
+			{Count: 2, Spec: modelspec.Spec{ACF: paper.ACF, Engine: modelspec.EngineBlock}},
+			{Spec: modelspec.Spec{Engine: modelspec.EngineGOP, GOP: &modelspec.GOPSpec{}}},
+			{Weight: 2, Spec: modelspec.Spec{Engine: modelspec.EngineTES, TES: &modelspec.TESSpec{Alpha: 0.3}}},
+		},
+		Marginal: paper.Marginal,
+	}
+	t, err := trunk.Open(ctx, spec, trunk.Options{Workers: 1})
+	if err != nil {
+		return nil, err
+	}
+	defer t.Close()
+	out := make([]float64, goldenFrames)
+	t.Fill(out)
 	return out, nil
 }
 
