@@ -28,8 +28,9 @@ const (
 // goldenSources enumerates every deterministic frame producer that gets a
 // golden trace: the background backends pushed through the marginal
 // transform, the serving paths (modelspec.Stream via Spec.Frames — exactly
-// what trafficd emits) on every engine, and a mixed-engine trunk whose
-// components inherit a shared marginal.
+// what trafficd emits) on every registered engine, and a mixed-engine trunk
+// whose components inherit a shared marginal. A registered engine without
+// a golden spec is an error, so adding an engine means adding its trace.
 func goldenSources(ctx context.Context) (map[string][]float64, error) {
 	comp, tr, _, err := paperModel()
 	if err != nil {
@@ -43,46 +44,51 @@ func goldenSources(ctx context.Context) (map[string][]float64, error) {
 		}
 		out[b.name] = tr.ApplySlice(bg)
 	}
-	spec := modelspec.Paper()
-	spec.Seed = goldenSeed
-	frames, err := spec.Frames(ctx, 0, goldenFrames, 0)
-	if err != nil {
-		return nil, err
+	paper := modelspec.Paper()
+	paper.Seed = goldenSeed
+	specs := goldenStreamSpecs(paper)
+	for _, engine := range modelspec.Engines() {
+		spec, ok := specs[engine]
+		if !ok {
+			return nil, fmt.Errorf("registered engine %q has no golden stream spec", engine)
+		}
+		frames, err := spec.Frames(ctx, 0, goldenFrames, 0)
+		if err != nil {
+			return nil, fmt.Errorf("engine %s: %w", engine, err)
+		}
+		name := "stream_" + engine
+		if engine == modelspec.EngineTruncated {
+			name = "stream" // the default engine, traced before engines had names
+		}
+		out[name] = frames
 	}
-	out["stream"] = frames
-	spec.Engine = modelspec.EngineBlock
-	blockFrames, err := spec.Frames(ctx, 0, goldenFrames, 0)
-	if err != nil {
-		return nil, err
-	}
-	out["stream_block"] = blockFrames
-	gopSpec := modelspec.Spec{
-		Seed:   goldenSeed,
-		Engine: modelspec.EngineGOP,
-		GOP:    &modelspec.GOPSpec{},
-	}
-	gopFrames, err := gopSpec.Frames(ctx, 0, goldenFrames, 0)
-	if err != nil {
-		return nil, err
-	}
-	out["stream_gop"] = gopFrames
-	tesSpec := modelspec.Spec{
-		Seed:     goldenSeed,
-		Engine:   modelspec.EngineTES,
-		TES:      &modelspec.TESSpec{Alpha: 0.3},
-		Marginal: spec.Marginal,
-	}
-	tesFrames, err := tesSpec.Frames(ctx, 0, goldenFrames, 0)
-	if err != nil {
-		return nil, err
-	}
-	out["stream_tes"] = tesFrames
-	trunkFrames, err := goldenTrunk(ctx, spec)
+	trunkFrames, err := goldenTrunk(ctx, paper)
 	if err != nil {
 		return nil, err
 	}
 	out["trunk_mixed"] = trunkFrames
 	return out, nil
+}
+
+// goldenStreamSpecs holds the golden spec of each engine at the golden seed.
+func goldenStreamSpecs(paper modelspec.Spec) map[string]modelspec.Spec {
+	block := paper
+	block.Engine = modelspec.EngineBlock
+	return map[string]modelspec.Spec{
+		modelspec.EngineTruncated: paper,
+		modelspec.EngineBlock:     block,
+		modelspec.EngineGOP: {
+			Seed:   goldenSeed,
+			Engine: modelspec.EngineGOP,
+			GOP:    &modelspec.GOPSpec{},
+		},
+		modelspec.EngineTES: {
+			Seed:     goldenSeed,
+			Engine:   modelspec.EngineTES,
+			TES:      &modelspec.TESSpec{Alpha: 0.3},
+			Marginal: paper.Marginal,
+		},
+	}
 }
 
 // goldenTrunk plays a block + gop + tes trunk under a shared marginal: the

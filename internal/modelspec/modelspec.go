@@ -30,8 +30,6 @@ import (
 	"vbrsim/internal/farima"
 	"vbrsim/internal/hosking"
 	"vbrsim/internal/mpegtrace"
-	"vbrsim/internal/rng"
-	"vbrsim/internal/streamblock"
 	"vbrsim/internal/tes"
 	"vbrsim/internal/trace"
 	"vbrsim/internal/transform"
@@ -50,14 +48,9 @@ type Spec struct {
 	// Marginal is the foreground marginal; nil means standard normal (the
 	// stream is the background process itself).
 	Marginal *MarginalSpec `json:"marginal,omitempty"`
-	// Engine selects the synthesis engine: "" or "truncated" for the AR(p)
-	// fast recursion (exact transform, the historical serving path), "block"
-	// for the overlapped-block Davies-Harte streaming engine (exact-FFT
-	// blocks, LUT transform, O(1) seek), "gop" for the §3.3 interframe
-	// scene/GOP simulator (own correlation structure and marginal; see GOP),
-	// or "tes" for the TES modulo-1 process (see TES). All are seed-
-	// deterministic and identical offline vs served; their frame values
-	// differ between engines by construction.
+	// Engine names the synthesis engine (the Engine constants; "" means
+	// truncated). All are seed-deterministic and identical offline vs
+	// served; their frame values differ between engines by construction.
 	Engine string `json:"engine,omitempty"`
 	// GOP configures the "gop" engine and must be set exactly for it.
 	GOP *GOPSpec `json:"gop,omitempty"`
@@ -239,65 +232,20 @@ func (m *MarginalSpec) Distribution() (dist.Distribution, error) {
 	return nil, fmt.Errorf("modelspec: unknown marginal kind %q", m.Kind)
 }
 
-// Validate checks the spec without building plans.
+// Validate checks the spec against its engine's registration without
+// building plans.
 func (s *Spec) Validate() error {
-	switch s.Engine {
-	case "", EngineTruncated, EngineBlock:
-		if _, err := s.ACF.Model(); err != nil {
-			return err
-		}
-		if s.Marginal != nil {
-			if _, err := s.Marginal.Distribution(); err != nil {
-				return err
-			}
-		}
-		if s.GOP != nil {
-			return fmt.Errorf("modelspec: gop config requires engine %q", EngineGOP)
-		}
-		if s.TES != nil {
-			return fmt.Errorf("modelspec: tes config requires engine %q", EngineTES)
-		}
-	case EngineGOP:
-		if s.GOP == nil {
-			return fmt.Errorf("modelspec: engine %q needs a gop config", EngineGOP)
-		}
-		if err := s.GOP.Validate(); err != nil {
-			return err
-		}
-		if !s.ACF.IsZero() {
-			return fmt.Errorf("modelspec: engine %q generates its own correlation structure; acf must be empty", EngineGOP)
-		}
-		if s.Marginal != nil {
-			return fmt.Errorf("modelspec: engine %q generates its own marginal; drop the marginal", EngineGOP)
-		}
-		if s.TES != nil {
-			return fmt.Errorf("modelspec: tes config requires engine %q", EngineTES)
-		}
-	case EngineTES:
-		if s.TES == nil {
-			return fmt.Errorf("modelspec: engine %q needs a tes config", EngineTES)
-		}
-		if s.Marginal == nil {
-			return fmt.Errorf("modelspec: engine %q needs a marginal", EngineTES)
-		}
-		target, err := s.Marginal.Distribution()
-		if err != nil {
-			return err
-		}
-		if err := s.TES.config(target).Validate(); err != nil {
-			return err
-		}
-		if !s.ACF.IsZero() {
-			return fmt.Errorf("modelspec: engine %q takes its correlation from the tes config; acf must be empty", EngineTES)
-		}
-		if s.GOP != nil {
-			return fmt.Errorf("modelspec: gop config requires engine %q", EngineGOP)
-		}
-	default:
-		return fmt.Errorf("modelspec: unknown engine %q (want %q, %q, %q or %q)",
-			s.Engine, EngineTruncated, EngineBlock, EngineGOP, EngineTES)
+	_, _, err := s.validate()
+	return err
+}
+
+// CostClass returns the admission cost class of the spec's engine in
+// session units (0 for an unknown engine).
+func (s *Spec) CostClass() float64 {
+	if reg := s.reg(); reg != nil {
+		return reg.cost
 	}
-	return nil
+	return 0
 }
 
 // Parse decodes and validates a JSON spec. Unknown fields are rejected so
@@ -320,25 +268,14 @@ func Parse(data []byte) (*Spec, error) {
 // Engines without a Gaussian background ("gop", "tes") have no source
 // decomposition and return an error; open them as a Stream instead.
 func (s *Spec) Source() (acf.Model, transform.T, error) {
-	if err := s.Validate(); err != nil {
-		return nil, transform.T{}, err
-	}
-	if s.Engine == EngineGOP || s.Engine == EngineTES {
-		return nil, transform.T{}, fmt.Errorf("modelspec: engine %q has no Gaussian background model", s.Engine)
-	}
-	var target dist.Distribution = dist.StdNormal
-	if s.Marginal != nil {
-		d, err := s.Marginal.Distribution()
-		if err != nil {
-			return nil, transform.T{}, err
-		}
-		target = d
-	}
-	model, err := s.ACF.Model()
+	reg, p, err := s.validate()
 	if err != nil {
 		return nil, transform.T{}, err
 	}
-	return model, transform.New(target), nil
+	if !reg.gaussian() {
+		return nil, transform.T{}, fmt.Errorf("modelspec: engine %q has no Gaussian background model", s.Engine)
+	}
+	return p.model, transform.New(p.target), nil
 }
 
 // SampleCap bounds the empirical-marginal sample FromModel embeds in a
@@ -412,27 +349,6 @@ func (s *Spec) TargetHurst() float64 {
 	return s.ACF.AsymptoticHurst()
 }
 
-// Engine names accepted by Spec.Engine.
-const (
-	// EngineTruncated is the AR(p) fast recursion with the exact transform —
-	// the historical serving path, bit-compatible with every pre-engine
-	// spec (its golden traces are unchanged).
-	EngineTruncated = "truncated"
-	// EngineBlock is the overlapped-block Davies-Harte streaming engine:
-	// exact-FFT blocks with AR(p)-conditional stitching, the LUT transform,
-	// and O(1) seek in either direction.
-	EngineBlock = "block"
-	// EngineGOP is the §3.3 interframe scene/GOP simulator promoted to a
-	// first-class backend: I/P/B frame sizes from heavy-tailed Pareto scenes
-	// with Gamma activity and AR(1) modulation. It generates its own
-	// correlation structure and long-tailed marginal, so the spec carries a
-	// GOPSpec instead of an ACF and marginal.
-	EngineGOP = "gop"
-	// EngineTES is the TES (Transform-Expand-Sample) generator: a modulo-1
-	// uniform background stitched and mapped through the spec marginal.
-	EngineTES = "tes"
-)
-
 // GOPSpec serializes the "gop" engine's configuration — the parameters of
 // mpegtrace.Config minus trace length and seed (streams are unbounded and
 // the seed lives on the Spec). Zero fields take the mpegtrace defaults,
@@ -491,19 +407,6 @@ func (g *GOPSpec) Config(seed uint64) (mpegtrace.Config, error) {
 	return cfg, nil
 }
 
-// Validate checks the gop configuration by materializing it.
-func (g *GOPSpec) Validate() error {
-	cfg, err := g.Config(0)
-	if err != nil {
-		return err
-	}
-	cfg.Frames = 1 // streams are unbounded; satisfy the finite-trace check
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("modelspec: %w", err)
-	}
-	return nil
-}
-
 // TESSpec serializes the "tes" engine's configuration. The foreground
 // marginal comes from the enclosing Spec.Marginal.
 type TESSpec struct {
@@ -525,135 +428,47 @@ func (t *TESSpec) config(target dist.Distribution) tes.Config {
 	return tes.Config{Alpha: t.Alpha, Zeta: zeta, Marginal: target, Minus: t.Minus}
 }
 
-// Stream is the deterministic generation loop for a spec: an unbounded
-// background generator — the truncated-AR recursion or the overlapped-block
-// Davies-Harte engine, per Spec.Engine — behind the process-wide plan
-// cache, mapped through the marginal transform. It is bound to a single
-// goroutine; trafficd serializes access per session.
+// Stream is the deterministic generation loop for a spec: the engine named
+// by Spec.Engine — for the Gaussian engines an unbounded background
+// generator behind the process-wide plan cache, mapped through the marginal
+// transform. It is bound to a single goroutine; trafficd serializes access
+// per session.
 type Stream struct {
-	trunc *hosking.Truncated // nil for the gop and tes engines
-	tr    transform.T
+	eng   engine
 	seed  uint64
-	mean  float64           // stationary foreground mean (bytes per frame)
-	marg  dist.Distribution // foreground marginal (nil for gop)
-
-	// Exactly one of gen (truncated engine), blk (block engine), gop and
-	// tes is set.
-	gen *hosking.TruncatedGenerator
-	blk *streamblock.Stream
-	lut *transform.LUT
-	gop *mpegtrace.Generator
-	tes *tes.Generator
+	trunc *hosking.Truncated // nil for engines without a Gaussian plan
+	mean  float64            // stationary foreground mean (bytes per frame)
+	marg  dist.Distribution  // foreground marginal (nil for gop)
 }
 
-// OpenCtx builds the stream for the spec: plan acquisition (cached,
-// cancellable) plus truncation, plus — for the block engine — the shared
-// block engine and the transform LUT. tol is the partial-correlation cutoff
-// (0 = default). The stream starts at frame 0.
+// OpenCtx validates the spec once and opens it through its engine's
+// registration (for the Gaussian engines: cached, cancellable plan
+// acquisition). tol is the partial-correlation cutoff (0 = default). The
+// stream starts at frame 0.
 func (s *Spec) OpenCtx(ctx context.Context, tol float64) (*Stream, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	switch s.Engine {
-	case EngineGOP:
-		cfg, err := s.GOP.Config(s.Seed)
-		if err != nil {
-			return nil, err
-		}
-		g, err := mpegtrace.NewGenerator(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Stream{seed: s.Seed, gop: g, mean: cfg.MeanBytesPerFrame()}, nil
-	case EngineTES:
-		target, err := s.Marginal.Distribution()
-		if err != nil {
-			return nil, err
-		}
-		g, err := tes.New(s.TES.config(target), rng.New(s.Seed))
-		if err != nil {
-			return nil, err
-		}
-		return &Stream{seed: s.Seed, tes: g, mean: target.Mean(), marg: target}, nil
-	}
-	model, tr, err := s.Source()
+	reg, p, err := s.validate()
 	if err != nil {
 		return nil, err
 	}
-	trunc, err := core.TruncatedPlanForCtx(ctx, model, 0, tol)
-	if err != nil {
-		return nil, err
-	}
-	st := &Stream{trunc: trunc, tr: tr, seed: s.Seed, mean: tr.Target.Mean(), marg: tr.Target}
-	if s.Engine == EngineBlock {
-		eng, err := streamblock.EngineFor(model, trunc, streamblock.Config{})
-		if err != nil {
-			return nil, err
-		}
-		lut, err := tr.NewDefaultLUT()
-		if err != nil {
-			return nil, err
-		}
-		st.blk = eng.NewStream(s.Seed)
-		st.lut = lut
-		return st, nil
-	}
-	st.reset()
-	return st, nil
-}
-
-func (st *Stream) reset() {
-	if st.gen != nil {
-		// Re-key in place: bit-identical to a fresh generator, but without
-		// allocating (pooled trunk components reseed on every replication).
-		st.gen.Reseed(st.seed)
-		return
-	}
-	st.gen = hosking.NewTruncatedGenerator(st.trunc, rng.New(st.seed))
+	return reg.open(ctx, s.Seed, p, tol)
 }
 
 // Close releases engine-side accounting (the block engine's arena gauge).
-// A closed stream must not be used again; Close on a truncated-engine
-// stream is a no-op.
-func (st *Stream) Close() {
-	if st.blk != nil {
-		st.blk.Close()
-	}
-}
+// A closed stream must not be used again.
+func (st *Stream) Close() { st.eng.Close() }
 
 // Pos returns the index of the next frame the stream will produce.
-func (st *Stream) Pos() int {
-	switch {
-	case st.blk != nil:
-		return st.blk.Pos()
-	case st.gop != nil:
-		return st.gop.Pos()
-	case st.tes != nil:
-		return st.tes.Pos()
-	}
-	return st.gen.Pos()
-}
+func (st *Stream) Pos() int { return st.eng.Pos() }
 
 // Seed returns the seed driving the stream.
 func (st *Stream) Seed() uint64 { return st.seed }
 
-// Reseed rewinds the stream to frame 0 of the trace keyed by seed,
-// discarding generator state but keeping plans, LUTs and arenas. Reseeding
-// with Seed() replays the stream bit-identically; the trunk engine uses
-// this to re-key pooled component streams per replication without
-// allocating.
+// Reseed rewinds the stream to frame 0 of the trace keyed by seed, keeping
+// plans, LUTs and arenas, so the trunk engine re-keys pooled component
+// streams without allocating. Reseed(Seed()) replays bit-identically.
 func (st *Stream) Reseed(seed uint64) {
 	st.seed = seed
-	switch {
-	case st.blk != nil:
-		st.blk.Reseed(seed)
-	case st.gop != nil:
-		st.gop.Reseed(seed)
-	case st.tes != nil:
-		st.tes.Reseed(seed)
-	default:
-		st.reset()
-	}
+	st.eng.Reseed(seed)
 }
 
 // Order returns the AR truncation order of the underlying fast plan (for
@@ -698,98 +513,29 @@ func (st *Stream) ImpliedACF(lags int) []float64 {
 		return nil
 	}
 	rho := st.trunc.ImpliedACF(lags)
-	a := st.tr.Attenuation()
+	a := transform.New(st.marg).Attenuation()
 	for k := 1; k < len(rho); k++ {
 		rho[k] *= a
 	}
 	return rho
 }
 
-// Next produces the next foreground frame (bytes per frame).
-func (st *Stream) Next() float64 {
-	switch {
-	case st.blk != nil:
-		return st.lut.Apply(st.blk.Next())
-	case st.gop != nil:
-		size, _ := st.gop.Next()
-		return size
-	case st.tes != nil:
-		return st.tes.Next()
-	}
-	return st.tr.Apply(st.gen.Next())
-}
-
 // Fill produces len(out) consecutive frames.
-func (st *Stream) Fill(out []float64) {
-	switch {
-	case st.blk != nil:
-		// Background block fill, then the LUT in place — bit-identical to
-		// Next (same LUT evaluation), with no intermediate buffer.
-		st.blk.Fill(out)
-		st.lut.ApplyTo(out, out)
-		return
-	case st.gop != nil:
-		for i := range out {
-			out[i], _ = st.gop.Next()
-		}
-		return
-	case st.tes != nil:
-		for i := range out {
-			out[i] = st.tes.Next()
-		}
-		return
-	}
-	for i := range out {
-		out[i] = st.tr.Apply(st.gen.Next())
-	}
-}
+func (st *Stream) Fill(out []float64) { st.eng.Fill(out) }
 
-// Seek positions the stream so the next frame is frame pos. On the
-// truncated engine a backward seek replays deterministically from the seed
-// (O(p) per skipped frame); the block engine seeks in O(1) either way.
+// Seek positions the stream so the next frame is frame pos. The truncated,
+// gop and tes engines replay deterministically from the seed (a backward
+// seek rewinds first); the block engine seeks in O(1) either way.
 func (st *Stream) Seek(pos int) { st.SeekCtx(context.Background(), pos) }
 
-// seekCheckEvery is how many skipped frames SeekCtx generates between
-// context polls: frequent enough that canceling a request aborts a long
-// replay within milliseconds, rare enough to stay invisible in the O(p)
-// per-frame cost.
-const seekCheckEvery = 1 << 13
-
-// SeekCtx is Seek with cancellation. pos is client-controlled in trafficd,
-// so the truncated engine's replay loop polls ctx; on cancellation the
-// stream is left at whatever position the replay reached (still a valid
-// state — a later seek continues or resets from there). The block engine
-// seeks in constant time and never reports cancellation.
+// SeekCtx is Seek with cancellation (pos is client-controlled in trafficd).
+// A canceled replay leaves the stream wherever it got to, a valid state a
+// later seek continues or rewinds from.
 func (st *Stream) SeekCtx(ctx context.Context, pos int) error {
 	if pos < 0 {
 		pos = 0
 	}
-	if st.blk != nil {
-		st.blk.Seek(pos)
-		return nil
-	}
-	if pos < st.Pos() {
-		if st.gen != nil {
-			st.reset()
-		} else {
-			st.Reseed(st.seed) // gop/tes: rewind and replay from the seed
-		}
-	}
-	// Replay skips the marginal transform on the truncated engine (it is
-	// stateless); the gop and tes engines step their own foreground draw.
-	step := st.Next
-	if st.gen != nil {
-		step = st.gen.Next
-	}
-	for n := 0; st.Pos() < pos; n++ {
-		if n%seekCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		step()
-	}
-	return nil
+	return st.eng.SeekCtx(ctx, pos)
 }
 
 // Frames generates frames [from, from+n) offline, exactly as a trafficd

@@ -102,24 +102,6 @@ func TestBlockEngineSeekResume(t *testing.T) {
 	}
 }
 
-// TestBlockEngineNextMatchesFill checks the per-frame and bulk paths of the
-// block engine (LUT application included) agree bit-exactly.
-func TestBlockEngineNextMatchesFill(t *testing.T) {
-	const n = 1024
-	want := blockRef(t, 3, n)
-	spec := blockSpec(3)
-	st, err := spec.OpenCtx(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for i := 0; i < n; i++ {
-		if v := st.Next(); math.Float64bits(v) != math.Float64bits(want[i]) {
-			t.Fatalf("Next at %d: got %v, want %v", i, v, want[i])
-		}
-	}
-}
-
 // TestBlockEngineDiffersFromTruncated is a tripwire for silent engine
 // fallback: the two engines are different processes frame-by-frame, so a
 // block spec must not produce the truncated stream.

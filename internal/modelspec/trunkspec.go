@@ -32,8 +32,8 @@ type TrunkSpec struct {
 	// Components are the weighted source groups, Count replicas each.
 	Components []TrunkComponent `json:"components"`
 	// Marginal, when set, is the shared foreground marginal inherited by
-	// components that carry none. Engines that generate their own marginal
-	// ("gop") never inherit it.
+	// components that carry none. Engines whose registration generates its
+	// own marginal ("gop") never inherit it.
 	Marginal *MarginalSpec `json:"marginal,omitempty"`
 }
 
@@ -58,7 +58,7 @@ func (c TrunkComponent) resolved(shared *MarginalSpec) TrunkComponent {
 	if c.Count == 0 {
 		c.Count = 1
 	}
-	if c.Spec.Marginal == nil && shared != nil && c.Spec.Engine != EngineGOP {
+	if reg := c.Spec.reg(); reg != nil && !reg.ownMarginal && c.Spec.Marginal == nil {
 		c.Spec.Marginal = shared
 	}
 	return c
@@ -111,6 +111,9 @@ func (t *TrunkSpec) Validate() error {
 		if c.Count < 0 {
 			return fmt.Errorf("modelspec: trunk component %d: negative count %d", i, c.Count)
 		}
+		if c.Count > MaxTrunkSources {
+			return fmt.Errorf("modelspec: trunk component %d: count %d over the source cap %d", i, c.Count, MaxTrunkSources)
+		}
 		if c.Spec.Seed != 0 {
 			return fmt.Errorf("modelspec: trunk component %d: component seeds are derived from the trunk seed; leave seed unset", i)
 		}
@@ -118,10 +121,10 @@ func (t *TrunkSpec) Validate() error {
 		if err := r.Spec.Validate(); err != nil {
 			return fmt.Errorf("modelspec: trunk component %d: %w", i, err)
 		}
-		total += r.Count
-	}
-	if total > MaxTrunkSources {
-		return fmt.Errorf("modelspec: trunk has %d sources, cap is %d", total, MaxTrunkSources)
+		// Both terms are at most the cap, so the sum cannot overflow.
+		if total += r.Count; total > MaxTrunkSources {
+			return fmt.Errorf("modelspec: trunk has over %d sources, the cap", MaxTrunkSources)
+		}
 	}
 	return nil
 }

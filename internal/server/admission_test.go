@@ -45,7 +45,7 @@ func TestEstimateTrunkCost(t *testing.T) {
 			{Count: 2, Spec: modelspec.Spec{Engine: modelspec.EngineBlock}},
 		},
 	}
-	want := costTrunkBase + 3*costTES + 2*costBlock
+	want := costTrunkBase + 3*1 + 2*4.0 // tes class 1, block class 4
 	if got := estimateTrunkCost(&spec); got != want {
 		t.Fatalf("trunk cost %v, want %v", got, want)
 	}

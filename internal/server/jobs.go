@@ -244,9 +244,6 @@ func runQsim(ctx context.Context, req JobRequest, mt *metrics) (any, error) {
 	if req.Spec == nil {
 		return nil, errors.New("qsim job needs a spec")
 	}
-	if err := req.Spec.Validate(); err != nil {
-		return nil, err
-	}
 	model, tr, err := req.Spec.Source()
 	if err != nil {
 		return nil, err

@@ -37,10 +37,11 @@ func (s *Server) instrument(endpoint string, next http.Handler) http.Handler {
 
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		s.metrics.httpInFlight.Add(1)
+		// Deferred: a handler panic recovered by net/http must not leak it.
+		defer s.metrics.httpInFlight.Add(-1)
 		begin := time.Now()
 		next.ServeHTTP(sw, r)
 		seconds := time.Since(begin).Seconds()
-		s.metrics.httpInFlight.Add(-1)
 
 		s.metrics.httpRequests.With(endpoint, strconv.Itoa(sw.code)).Inc()
 		if sw.code >= 500 {

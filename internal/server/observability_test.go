@@ -7,8 +7,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -322,6 +324,29 @@ func TestRequestMetricsRED(t *testing.T) {
 	}
 	if counted < 1 {
 		t.Errorf("no shard lookup counted: %v", counted)
+	}
+}
+
+// TestInFlightAfterHandlerPanic serves a panicking handler through the RED
+// middleware: net/http recovers the panic and drops the connection, and the
+// in-flight gauge must be back at zero.
+func TestInFlightAfterHandlerPanic(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	ts := httptest.NewUnstartedServer(s.instrument("panic", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic("handler bug")
+	})))
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0)
+	ts.Start()
+	defer ts.Close()
+	for i := 0; i < 3; i++ {
+		if resp, err := http.Get(ts.URL); err == nil {
+			resp.Body.Close()
+			t.Fatalf("panicking handler answered %d", resp.StatusCode)
+		}
+	}
+	if v := s.metrics.httpInFlight.Value(); v != 0 {
+		t.Fatalf("in-flight gauge = %v after recovered panics, want 0", v)
 	}
 }
 

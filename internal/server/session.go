@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -191,65 +192,29 @@ func (s *Server) rejectCreate(w http.ResponseWriter, err error) {
 	httpError(w, code, err)
 }
 
-// deriveSeed assigns a deterministic seed to the n-th auto-seeded session:
-// SplitMix64 of the server base seed and the session ordinal. Restarting the
-// daemon with the same base seed reproduces the same seed sequence, and the
+// deriveSeed assigns a deterministic seed to the n-th (n >= 1) auto-seeded
+// session: trunk.SourceSeed's SplitMix64 mix of the server base seed at
+// ordinal n-1. The same base seed reproduces the same seed sequence, and the
 // seed is echoed in the create response so clients can regenerate offline.
-func deriveSeed(base, ordinal uint64) uint64 {
-	z := base + ordinal*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func deriveSeed(base, ordinal uint64) uint64 { return trunk.SourceSeed(base, int(ordinal)-1) }
 
 // ---------------------------------------------------------------------------
 // HTTP handlers
 
 func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
 	var spec modelspec.Spec
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !s.decodeCreate(w, r, &spec, &spec.Seed) {
 		return
 	}
-	if err := spec.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if spec.Seed == 0 {
-		spec.Seed = deriveSeed(s.opt.Seed, s.seedOrdinal.Add(1))
-	}
-	// Admission happens before the expensive plan acquisition: the cost is
-	// estimated from the spec alone, so a doomed request never builds a
-	// plan or touches an arena.
-	cost := estimateStreamCost(&spec)
-	if err := s.adm.reserve(cost); err != nil {
-		s.rejectCreate(w, err)
-		return
-	}
-	// Plan acquisition is the expensive step; it is cancellable by the
-	// client and shared across sessions through the plan cache. Any
-	// failure from here on returns the reservation and closes the stream:
-	// a rejected or failed create never leaks engine accounting.
-	stream, err := spec.OpenCtx(r.Context(), s.opt.Tol)
-	if err != nil {
-		s.adm.release(cost)
-		if r.Context().Err() != nil {
-			return // client gone; nothing to report
+	ss := &session{name: cmp.Or(spec.Name, "stream"), seed: spec.Seed, cost: estimateStreamCost(&spec)}
+	s.create(w, r, ss, func(ctx context.Context) (frameStream, error) {
+		stream, err := spec.OpenCtx(ctx, s.opt.Tol)
+		if err != nil {
+			return nil, err
 		}
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	name := spec.Name
-	if name == "" {
-		name = "stream"
-	}
-	ss := &session{name: name, cost: cost, seed: spec.Seed, created: time.Now(), stream: stream}
-	ss.mon = s.newStreamMonitor(&spec, stream)
-	s.addSession(ss)
-	writeJSON(w, http.StatusCreated, ss.info())
+		ss.mon = s.newStreamMonitor(&spec, stream)
+		return stream, nil
+	})
 }
 
 // sessionKindTrunk marks superposition sessions in the registry and the
@@ -261,54 +226,78 @@ const sessionKindTrunk = "trunk"
 // frames/step/delete surface as a plain stream. The trunk seed is derived
 // exactly like a stream seed when the spec leaves it 0, and every component
 // seed derives from the trunk seed, so the response's seed alone reproduces
-// the whole aggregate offline (trunk.Open with the same spec).
+// the whole aggregate offline (trunk.Open with the same spec). Trunks are
+// the expensive sessions admission exists for: the cost scales with the
+// flattened source count, so under pressure a 4096-source superposition is
+// shed while plain streams keep landing.
 func (s *Server) handleTrunkCreate(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
 	var spec modelspec.TrunkSpec
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !s.decodeCreate(w, r, &spec, &spec.Seed) {
 		return
+	}
+	ss := &session{
+		name:    cmp.Or(spec.Name, sessionKindTrunk),
+		kind:    sessionKindTrunk,
+		sources: spec.NumSources(),
+		seed:    spec.Seed,
+		cost:    estimateTrunkCost(&spec),
+	}
+	s.create(w, r, ss, func(ctx context.Context) (frameStream, error) {
+		ss.mon = s.newTrunkMonitor()
+		return trunk.Open(ctx, &spec, trunk.Options{Tol: s.opt.Tol})
+	})
+}
+
+// decodeBody strictly decodes a JSON request body into v, rejecting
+// unknown fields. On failure it answers 400 and reports false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
+}
+
+// decodeCreate decodes and validates a create body into spec and assigns a
+// derived seed when the spec leaves *seed 0. On failure it answers 400 and
+// reports false.
+func (s *Server) decodeCreate(w http.ResponseWriter, r *http.Request, spec interface{ Validate() error }, seed *uint64) bool {
+	if !s.decodeBody(w, r, spec) {
+		return false
 	}
 	if err := spec.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, err)
-		return
+		return false
 	}
-	if spec.Seed == 0 {
-		spec.Seed = deriveSeed(s.opt.Seed, s.seedOrdinal.Add(1))
+	if *seed == 0 {
+		*seed = deriveSeed(s.opt.Seed, s.seedOrdinal.Add(1))
 	}
-	// Trunks are the expensive sessions admission exists for: the cost
-	// scales with the flattened source count, so under pressure a 4096-
-	// source superposition is shed while plain streams keep landing.
-	cost := estimateTrunkCost(&spec)
-	if err := s.adm.reserve(cost); err != nil {
+	return true
+}
+
+// create admits and opens a session. Admission happens before the
+// expensive open, on a cost estimated from the spec alone, so a doomed
+// request never builds a plan or touches an arena. The open (plan
+// acquisition, shared across sessions through the plan cache) is
+// cancellable by the client; any failure from there on returns the
+// reservation, so a rejected or failed create never leaks engine
+// accounting.
+func (s *Server) create(w http.ResponseWriter, r *http.Request, ss *session, open func(context.Context) (frameStream, error)) {
+	if err := s.adm.reserve(ss.cost); err != nil {
 		s.rejectCreate(w, err)
 		return
 	}
-	tr, err := trunk.Open(r.Context(), &spec, trunk.Options{Tol: s.opt.Tol})
+	stream, err := open(r.Context())
 	if err != nil {
-		s.adm.release(cost)
-		if r.Context().Err() != nil {
-			return // client gone; nothing to report
+		s.adm.release(ss.cost)
+		if r.Context().Err() == nil { // otherwise the client is gone
+			httpError(w, http.StatusBadRequest, err)
 		}
-		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	name := spec.Name
-	if name == "" {
-		name = sessionKindTrunk
-	}
-	ss := &session{
-		name:    name,
-		kind:    sessionKindTrunk,
-		sources: tr.NumSources(),
-		cost:    cost,
-		seed:    spec.Seed,
-		created: time.Now(),
-		stream:  tr,
-		mon:     s.newTrunkMonitor(),
-	}
+	ss.stream, ss.created = stream, time.Now()
 	s.addSession(ss)
 	writeJSON(w, http.StatusCreated, ss.info())
 }

@@ -152,8 +152,8 @@ func TestServerEvictsIdleSessions(t *testing.T) {
 	tes := tesTestSpec(7)
 	victim := createStream(t, ts.URL, tes)
 	keeper := createStream(t, ts.URL, tes)
-	if used := s.adm.usedCost(); used != 2*costTES {
-		t.Fatalf("used cost = %v, want %v", used, 2*costTES)
+	if used := s.adm.usedCost(); used != 2*tes.CostClass() {
+		t.Fatalf("used cost = %v, want %v", used, 2*tes.CostClass())
 	}
 
 	// Rewind only the victim's idle clock; the keeper stays fresh.
@@ -178,8 +178,8 @@ func TestServerEvictsIdleSessions(t *testing.T) {
 	if _, ok := s.reg.get(keeper.ID); !ok {
 		t.Fatal("keeper evicted")
 	}
-	if used := s.adm.usedCost(); used != costTES {
-		t.Fatalf("used cost after eviction = %v, want %v", used, costTES)
+	if used := s.adm.usedCost(); used != tes.CostClass() {
+		t.Fatalf("used cost after eviction = %v, want %v", used, tes.CostClass())
 	}
 	// Deleting the evicted session is a 404, not a double-close.
 	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/streams/"+victim.ID, nil)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -55,12 +54,8 @@ type StepResult struct {
 // cumulative position, never on fleet composition, worker count, or
 // scheduling.
 func (s *Server) handleStreamStep(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
 	var req StepRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {

@@ -190,14 +190,6 @@ func (t *Trunk) Reseed(base uint64) {
 	}
 }
 
-// Next produces the next aggregate frame. It shares the Fill path, so mixed
-// Next/Fill access patterns stay bit-identical.
-func (t *Trunk) Next() float64 {
-	var out [1]float64
-	t.fillChunk(out[:])
-	return out[0]
-}
-
 // Fill produces len(out) consecutive aggregate frames, fanning the
 // component streams out across the par pool in trunkChunk rounds. Zero
 // allocations in steady state.

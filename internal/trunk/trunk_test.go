@@ -144,19 +144,26 @@ func TestTrunkSeekResumeBitIdentical(t *testing.T) {
 	}
 }
 
-func TestTrunkNextMatchesFill(t *testing.T) {
+func TestTrunkUnevenFillMatchesFill(t *testing.T) {
+	// Single frames and reads straddling the fan-out chunk must land on the
+	// one-shot Fill trace.
 	spec := mixedSpec(3)
 	a := openTrunk(t, spec, Options{})
 	b := openTrunk(t, spec, Options{})
-	filled := make([]float64, 300)
+	const n = 2600
+	filled := make([]float64, n)
 	a.Fill(filled)
-	for i := range filled {
-		if v := b.Next(); math.Float64bits(v) != math.Float64bits(filled[i]) {
-			t.Fatalf("Next diverged from Fill at frame %d", i)
-		}
+	got := make([]float64, n)
+	for off, k := 0, 0; off < n; k++ {
+		m := min([]int{1, 3, trunkChunk + 1}[k%3], n-off)
+		b.Fill(got[off : off+m])
+		off += m
 	}
-	if b.Pos() != 300 {
-		t.Errorf("Pos after 300 Next = %d", b.Pos())
+	if !bitsEqual(got, filled) {
+		t.Fatal("uneven Fill diverged from one-shot Fill")
+	}
+	if b.Pos() != n {
+		t.Errorf("Pos after %d frames = %d", n, b.Pos())
 	}
 }
 

@@ -26,6 +26,12 @@ go test -race -short ./...
 echo "== go test"
 go test ./...
 
+echo "== perfbench module"
+# perfbench/ is a nested module (its own go.mod, replace vbrsim => ../), so
+# the ./... patterns above never compile it, yet it calls modelspec, trunk
+# and server directly.
+(cd perfbench && go vet ./... && go test -short ./...)
+
 echo "== shard gates"
 # The sharded-registry invariants at full strength (the -short run above
 # uses reduced iterations): shard topology must be invisible on the wire
