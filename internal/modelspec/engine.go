@@ -48,7 +48,8 @@ const (
 )
 
 // registration is everything the package knows about one engine. Adding
-// an engine is one registry entry plus one golden trace.
+// an engine is one registry entry, plus its golden and contract specs in
+// the tests, which fail for a registered engine without them.
 type registration struct {
 	// needs are the fields a spec must set; it must leave the others unset,
 	// except a marginal, which is optional unless needed.
