@@ -134,7 +134,7 @@ func BenchDHPathTelemetryOff(b *testing.B) {
 }
 
 // BenchDHPathTelemetryOn generates the identical batch with a worker-pool
-// observer installed, forcing the instrumented fan-out (per-worker busy
+// observer installed, forcing the observed fan-out path (busy-time
 // clocks, in-flight peak tracking). Output stays bit-identical; only the
 // bookkeeping differs.
 func BenchDHPathTelemetryOn(b *testing.B) {

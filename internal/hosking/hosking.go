@@ -28,10 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"vbrsim/internal/acf"
+	"vbrsim/internal/par"
 	"vbrsim/internal/rng"
 )
 
@@ -129,15 +128,6 @@ func NewPlanOptsCtx(ctx context.Context, model acf.Model, n int, opt PlanOptions
 		return p, nil
 	}
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var pool *planPool
-	if workers > 1 && n-1 > reduceChunk {
-		pool = newPlanPool(workers)
-		defer pool.close()
-	}
 	var partials []float64
 	if n-1 > reduceChunk {
 		partials = make([]float64, (n+reduceChunk-1)/reduceChunk)
@@ -164,7 +154,7 @@ func NewPlanOptsCtx(ctx context.Context, model acf.Model, n int, opt PlanOptions
 			}
 		} else {
 			chunks := (m + reduceChunk - 1) / reduceChunk
-			runChunks(pool, chunks, func(c int) {
+			par.For(par.Workers(opt.Workers, chunks), chunks, func(_, c int) {
 				lo, hi := c*reduceChunk, (c+1)*reduceChunk
 				if hi > m {
 					hi = m
@@ -200,7 +190,7 @@ func NewPlanOptsCtx(ctx context.Context, model acf.Model, n int, opt PlanOptions
 			}
 		} else {
 			chunks := (k + reduceChunk - 1) / reduceChunk
-			runChunks(pool, chunks, func(c int) {
+			par.For(par.Workers(opt.Workers, chunks), chunks, func(_, c int) {
 				lo, hi := c*reduceChunk, (c+1)*reduceChunk
 				if hi > k {
 					hi = k
@@ -226,63 +216,6 @@ func NewPlanOptsCtx(ctx context.Context, model acf.Model, n int, opt PlanOptions
 		p.v[k] = p.v[k-1] * (1 - phiKK*phiKK)
 	}
 	return p, nil
-}
-
-// planPool is a fixed set of workers that execute chunk bodies for the
-// duration of one NewPlan call. Chunk results are combined by the caller in
-// a deterministic order, so the pool only provides parallelism, never
-// ordering.
-type planPool struct {
-	tasks chan poolTask
-	wg    sync.WaitGroup
-}
-
-type poolTask struct {
-	body func(int)
-	c    int
-	done *sync.WaitGroup
-}
-
-func newPlanPool(workers int) *planPool {
-	p := &planPool{tasks: make(chan poolTask, 2*workers)}
-	for w := 0; w < workers; w++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for t := range p.tasks {
-				t.body(t.c)
-				t.done.Done()
-			}
-		}()
-	}
-	return p
-}
-
-func (p *planPool) run(chunks int, body func(int)) {
-	var done sync.WaitGroup
-	done.Add(chunks)
-	for c := 0; c < chunks; c++ {
-		p.tasks <- poolTask{body: body, c: c, done: &done}
-	}
-	done.Wait()
-}
-
-func (p *planPool) close() {
-	close(p.tasks)
-	p.wg.Wait()
-}
-
-// runChunks executes body(c) for c in [0, chunks), on the pool when one is
-// available, inline otherwise. Bodies write disjoint state; execution order
-// does not affect the result.
-func runChunks(pool *planPool, chunks int, body func(int)) {
-	if pool == nil {
-		for c := 0; c < chunks; c++ {
-			body(c)
-		}
-		return
-	}
-	pool.run(chunks, body)
 }
 
 // PhiRowSum returns sum_{j=1}^{k} phi_{k,j}, the sensitivity of the

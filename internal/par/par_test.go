@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -165,5 +166,44 @@ func TestForCtxCompletes(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("index %d ran %d times", i, c)
 		}
+	}
+}
+
+// TestWorkerPanicReachesCaller checks a panic in a worker goroutine is
+// re-raised on the calling goroutine with the lowest panicking slot's value,
+// after every other chunk has run, and leaves no goroutine behind.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	const n, workers = 40, 4
+	before := runtime.NumGoroutine()
+	boom1, boom3 := errors.New("boom 1"), errors.New("boom 3")
+	var ran [workers]atomic.Bool
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		ForChunks(workers, n, func(w, lo, hi int) {
+			switch w {
+			case 1:
+				panic(boom1)
+			case 3:
+				panic(boom3)
+			}
+			time.Sleep(time.Duration(w) * 20 * time.Millisecond) // slot 2 finishes well after the panics
+			ran[w].Store(true)
+		})
+		return nil
+	}()
+	if got != boom1 {
+		t.Fatalf("recovered %v, want %v", got, boom1)
+	}
+	for _, w := range []int{0, 2} {
+		if !ran[w].Load() {
+			t.Errorf("chunk %d did not run to completion", w)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("%d goroutines left after the panic, had %d before", g, before)
 	}
 }

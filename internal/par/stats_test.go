@@ -8,121 +8,65 @@ import (
 	"testing"
 )
 
-// fanOutFill computes a deterministic per-index value; any change in which
-// job index produces which slot value is a bit-level diff.
-func fanOutFill(p *Pool, n int) []uint64 {
-	out := make([]uint64, n)
-	p.For(n, func(_, i int) {
-		v := math.Sin(float64(i)*1.618) * math.Exp(float64(i%17))
-		out[i] = math.Float64bits(v)
-	})
-	return out
-}
-
-// TestPoolStatsBitIdentity is the satellite gate: enabling stats must not
-// change fan-out results for any worker count.
-func TestPoolStatsBitIdentity(t *testing.T) {
+// TestObserverReceivesRunStats checks the global observer hook fires for
+// the package-level helpers, that its stats are in range, and that results
+// and ForCtx's lowest-index error stay identical while it is installed. Not
+// parallel: the observer is process-wide.
+func TestObserverReceivesRunStats(t *testing.T) {
 	const n = 257 // odd length so chunks are ragged
-	for workers := 1; workers <= 8; workers++ {
-		plain := NewPool(workers)
-		want := fanOutFill(plain, n)
-
-		stats := NewPool(workers)
-		stats.EnableStats(true)
-		got := fanOutFill(stats, n)
-
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: index %d differs with stats on: %x != %x",
-					workers, i, got[i], want[i])
-			}
-		}
-		st := stats.Stats()
-		if st.Tasks != n {
-			t.Fatalf("workers=%d: tasks = %d, want %d", workers, st.Tasks, n)
-		}
-		if st.Runs != 1 || st.PeakInFlight < 1 || st.PeakInFlight > workers {
-			t.Fatalf("workers=%d: stats = %+v", workers, st)
-		}
-		if len(st.Busy) != Workers(workers, n) {
-			t.Fatalf("workers=%d: busy slots = %d", workers, len(st.Busy))
-		}
-		if plain.Stats().Tasks != 0 {
-			t.Fatal("stats accumulated with collection disabled")
-		}
+	fill := func(workers int) []uint64 {
+		out := make([]uint64, n)
+		For(workers, n, func(_, i int) {
+			out[i] = math.Float64bits(math.Sin(float64(i)*1.618) * math.Exp(float64(i%17)))
+		})
+		return out
 	}
-}
-
-func TestPoolStatsAccumulate(t *testing.T) {
-	p := NewPool(4)
-	p.EnableStats(true)
-	p.For(100, func(_, _ int) {})
-	if err := p.ForCtx(context.Background(), 50, func(_, _ int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.Runs != 2 || st.Tasks != 150 {
-		t.Fatalf("accumulated stats = %+v", st)
-	}
-	if st.BusyTotal() < 0 || st.Utilization() < 0 || st.Utilization() > 1.000001 {
-		t.Fatalf("derived stats out of range: busy=%v util=%v", st.BusyTotal(), st.Utilization())
-	}
-	p.Reset()
-	if p.Stats().Tasks != 0 {
-		t.Fatal("Reset did not clear stats")
-	}
-}
-
-func TestPoolForCtxErrorWithStats(t *testing.T) {
-	p := NewPool(4)
-	p.EnableStats(true)
-	boom := errors.New("boom")
-	err := p.ForCtx(context.Background(), 100, func(_, i int) error {
-		if i == 31 || i == 77 {
-			return boom
+	errLow, errHigh := errors.New("low"), errors.New("high")
+	failing := func(_, i int) error {
+		switch i {
+		case 31:
+			return errLow
+		case 77:
+			return errHigh
 		}
 		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
 	}
-}
-
-// TestObserverReceivesRunStats checks the global observer hook fires for
-// the package-level helpers and that results stay identical while it is
-// installed. Not parallel: the observer is process-wide.
-func TestObserverReceivesRunStats(t *testing.T) {
-	const n = 64
-	base := make([]uint64, n)
-	For(4, n, func(_, i int) { base[i] = math.Float64bits(math.Cos(float64(i))) })
+	base := fill(1)
 
 	var runs []RunStats
 	SetObserver(func(st RunStats) { runs = append(runs, st) })
 	defer SetObserver(nil)
 
-	got := make([]uint64, n)
-	For(4, n, func(_, i int) { got[i] = math.Float64bits(math.Cos(float64(i))) })
-	if err := ForCtx(context.Background(), 2, n, func(_, _ int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range base {
-		if got[i] != base[i] {
-			t.Fatalf("index %d differs with observer installed", i)
+	for workers := 1; workers <= 8; workers++ {
+		runs = runs[:0]
+		got := fill(workers)
+		for i := range base {
+			if got[i] != base[i] {
+				t.Fatalf("workers=%d: index %d differs with observer installed: %x != %x",
+					workers, i, got[i], base[i])
+			}
 		}
-	}
-	if len(runs) != 2 {
-		t.Fatalf("observer saw %d runs, want 2", len(runs))
-	}
-	if runs[0].Tasks != n || runs[0].Workers != 4 {
-		t.Fatalf("first run stats = %+v", runs[0])
-	}
-	if runs[1].Workers != 2 {
-		t.Fatalf("second run stats = %+v", runs[1])
+		if err := ForCtx(context.Background(), workers, n, failing); !errors.Is(err, errLow) {
+			t.Fatalf("workers=%d: ForCtx = %v, want lowest-index error", workers, err)
+		}
+		if len(runs) != 2 {
+			t.Fatalf("workers=%d: observer saw %d runs, want 2", workers, len(runs))
+		}
+		for _, st := range runs {
+			if st.Tasks != n || st.Workers != workers {
+				t.Fatalf("workers=%d: stats = %+v", workers, st)
+			}
+			if st.PeakInFlight < 1 || st.PeakInFlight > workers {
+				t.Fatalf("workers=%d: peak in flight %d outside [1, %d]", workers, st.PeakInFlight, workers)
+			}
+			if u := st.Utilization(); u < 0 || u > 1 {
+				t.Fatalf("workers=%d: utilization %v outside [0, 1] (%+v)", workers, u, st)
+			}
+		}
 	}
 }
 
-// TestObserverForChunks checks the instrumented ForChunks path keeps the
+// TestObserverForChunks checks the observed ForChunks path keeps the
 // exact chunking of the plain path (every index once, same owner slots)
 // while reporting the run to the observer.
 func TestObserverForChunks(t *testing.T) {
@@ -144,7 +88,7 @@ func TestObserverForChunks(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&counts[i], 1)
 			if plain[i] != int32(worker) {
-				t.Errorf("index %d: instrumented owner %d, plain owner %d", i, worker, plain[i])
+				t.Errorf("index %d: observed owner %d, plain owner %d", i, worker, plain[i])
 			}
 		}
 	})
@@ -155,6 +99,9 @@ func TestObserverForChunks(t *testing.T) {
 	}
 	if len(runs) != 1 || runs[0].Tasks != n || runs[0].Workers != workers {
 		t.Fatalf("observer runs = %+v", runs)
+	}
+	if st := runs[0]; st.PeakInFlight < 1 || st.PeakInFlight > workers || st.Utilization() < 0 || st.Utilization() > 1 {
+		t.Fatalf("observer stats out of range: %+v (utilization %v)", st, st.Utilization())
 	}
 }
 

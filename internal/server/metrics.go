@@ -174,9 +174,9 @@ func setFinite(g *obs.Gauge, v float64) {
 
 // observePar folds one worker-pool run into the par series.
 func (m *metrics) observePar(st par.RunStats) {
-	m.parRuns.Add(float64(st.Runs))
+	m.parRuns.Inc()
 	m.parTasks.Add(float64(st.Tasks))
-	m.parBusy.Add(st.BusyTotal().Seconds())
+	m.parBusy.Add(st.Busy.Seconds())
 	m.parPeak.Set(float64(st.PeakInFlight))
 	m.parUtil.Set(st.Utilization())
 }

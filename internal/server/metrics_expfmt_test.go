@@ -2,63 +2,38 @@ package server
 
 import (
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"vbrsim/internal/obs"
 )
 
-// documentedMetrics is the DESIGN.md §7/§9 metric table: every name the
-// docs promise, with its type. The exposition test fails when the served
-// /metrics drifts from this list, and ci.sh re-checks the same names
-// against a live daemon.
-var documentedMetrics = map[string]string{
-	"vbrsim_sessions_active":                     "gauge",
-	"vbrsim_sessions_total":                      "counter",
-	"vbrsim_streams_rejected_total":              "counter",
-	"vbrsim_frames_streamed_total":               "counter",
-	"vbrsim_stream_request_frames":               "histogram",
-	"vbrsim_job_duration_seconds":                "summary",
-	"vbrsim_jobs_failed_total":                   "counter",
-	"vbrsim_jobs_rejected_total":                 "counter",
-	"vbrsim_estimator_completed":                 "gauge",
-	"vbrsim_estimator_p":                         "gauge",
-	"vbrsim_estimator_std_err":                   "gauge",
-	"vbrsim_estimator_norm_var":                  "gauge",
-	"vbrsim_estimator_variance_ratio":            "gauge",
-	"vbrsim_estimator_reps_per_sec":              "gauge",
-	"vbrsim_par_runs_total":                      "counter",
-	"vbrsim_par_tasks_total":                     "counter",
-	"vbrsim_par_busy_seconds_total":              "counter",
-	"vbrsim_par_peak_in_flight":                  "gauge",
-	"vbrsim_par_utilization":                     "gauge",
-	"vbrsim_plan_cache_hits_total":               "counter",
-	"vbrsim_plan_cache_misses_total":             "counter",
-	"vbrsim_plan_cache_evictions_total":          "counter",
-	"vbrsim_plan_cache_singleflight_waits_total": "counter",
-	"vbrsim_streamblock_refills_total":           "counter",
-	"vbrsim_streamblock_arena_bytes":             "gauge",
-	"vbrsim_streamblock_block_ns":                "histogram",
-	"vbrsim_trunk_sessions_active":               "gauge",
-	"vbrsim_trunk_sources_active":                "gauge",
-	"vbrsim_trunk_fanout_ns":                     "histogram",
-	"vbrsim_server_shard_sessions":               "gauge",
-	"vbrsim_server_admission_rejects_total":      "counter",
-	"vbrsim_server_evictions_total":              "counter",
-	"vbrsim_server_admission_cost_used":          "gauge",
-	"vbrsim_server_sweep_seconds":                "histogram",
-	"vbrsim_server_swept_sessions_total":         "counter",
-	"vbrsim_http_requests_total":                 "counter",
-	"vbrsim_http_errors_total":                   "counter",
-	"vbrsim_http_request_seconds":                "histogram",
-	"vbrsim_http_in_flight":                      "gauge",
-	"vbrsim_server_shard_requests_total":         "counter",
-	"vbrsim_server_frame_emit_seconds":           "histogram",
-	"vbrsim_statmon_frames_sampled_total":        "counter",
-	"vbrsim_statmon_hurst":                       "gauge",
-	"vbrsim_statmon_acf_err":                     "gauge",
-	"vbrsim_statmon_drift":                       "gauge",
-	"vbrsim_statmon_sessions_monitored":          "gauge",
-	"vbrsim_statmon_sessions_drifting":           "gauge",
+// metricRow matches one row of DESIGN.md §9's metric table: the metric
+// name in backticks, then its type.
+var metricRow = regexp.MustCompile("^\\| `(vbrsim_[a-z0-9_]+)` \\| ([a-z]+) \\|")
+
+// metricTable parses DESIGN.md §9's metric table, the one list of
+// served metric names, into name → type. ci.sh's scrape gate reads the same
+// rows against a live daemon.
+func metricTable(t *testing.T) map[string]string {
+	t.Helper()
+	design, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]string)
+	for _, line := range strings.Split(string(design), "\n") {
+		if m := metricRow.FindStringSubmatch(line); m != nil {
+			names[m[1]] = m[2]
+		}
+	}
+	if len(names) < 47 {
+		t.Fatalf("parsed %d metric rows from DESIGN.md, want at least 47", len(names))
+	}
+	return names
 }
 
 // TestMetricsExpositionComplete scrapes a fresh server's /metrics through
@@ -98,7 +73,7 @@ func TestMetricsExpositionComplete(t *testing.T) {
 	if probs := obs.Lint(fams); len(probs) > 0 {
 		t.Fatalf("exposition lint problems: %v", probs)
 	}
-	for name, typ := range documentedMetrics {
+	for name, typ := range metricTable(t) {
 		f, ok := fams[name]
 		if !ok {
 			t.Errorf("documented metric %s missing from /metrics", name)

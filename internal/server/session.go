@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -310,7 +311,7 @@ func (s *Server) handleStreamList(w http.ResponseWriter, _ *http.Request) {
 			infos = append(infos, info)
 		}
 	}
-	sortSessionInfos(infos)
+	slices.SortFunc(infos, func(a, b SessionInfo) int { return compareSessionIDs(a.ID, b.ID) })
 	writeJSON(w, http.StatusOK, infos)
 }
 
@@ -503,18 +504,11 @@ func frameEncodingOf(r *http.Request) frameEncoding {
 	return encNDJSON
 }
 
-func sortSessionInfos(infos []SessionInfo) {
-	// IDs are s1, s2, ...: compare numerically by length then lexically.
-	for i := 1; i < len(infos); i++ {
-		for j := i; j > 0 && sessionIDLess(infos[j].ID, infos[j-1].ID); j-- {
-			infos[j], infos[j-1] = infos[j-1], infos[j]
-		}
+// compareSessionIDs orders session IDs (s1, s2, ...) numerically: by
+// length, then lexically.
+func compareSessionIDs(a, b string) int {
+	if c := cmp.Compare(len(a), len(b)); c != 0 {
+		return c
 	}
-}
-
-func sessionIDLess(a, b string) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	return a < b
+	return strings.Compare(a, b)
 }

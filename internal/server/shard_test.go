@@ -349,11 +349,30 @@ func mustJSON(t *testing.T, v any) []byte {
 
 // TestShardGaugeTracksTopology checks the per-shard occupancy gauge: the
 // exposition shows every shard (zeros included) and the values sum to the
-// active session count.
+// active session count. The session list spans all shards in numeric ID
+// order, so s10 sorts after s9.
 func TestShardGaugeTracksTopology(t *testing.T) {
 	_, ts := newTestServer(t, Options{Shards: 4})
-	for i := 0; i < 9; i++ {
-		createStream(t, ts.URL, tesTestSpec(uint64(300+i)))
+	var want []string
+	for i := 0; i < 10; i++ {
+		want = append(want, createStream(t, ts.URL, tesTestSpec(uint64(300+i))).ID)
+	}
+	resp, err := http.Get(ts.URL + "/v1/streams")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []SessionInfo
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, info := range list {
+		got = append(got, info.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) || want[8] != "s9" || want[9] != "s10" {
+		t.Fatalf("session list order %v, want %v ending s9, s10", got, want)
 	}
 	scrape := scrapeMetrics(t, ts.URL)
 	sum, lines := 0, 0
@@ -372,7 +391,7 @@ func TestShardGaugeTracksTopology(t *testing.T) {
 	if lines != 4 {
 		t.Fatalf("exposition shows %d shard gauge samples, want 4\n%s", lines, scrape)
 	}
-	if sum != 9 {
-		t.Fatalf("shard gauges sum to %d, want 9", sum)
+	if sum != 10 {
+		t.Fatalf("shard gauges sum to %d, want 10", sum)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"slices"
 	"time"
 
 	"vbrsim/internal/statmon"
@@ -96,16 +97,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		fleet.MeanHurst /= float64(fleet.hurstN)
 	}
 	rep.Statmon = fleet
-	sortStrings(rep.DriftingIDs)
+	// Sorted so the report is deterministic across registry shards.
+	slices.SortFunc(rep.DriftingIDs, compareSessionIDs)
 	writeJSON(w, http.StatusOK, rep)
-}
-
-// sortStrings orders the (short) drifting-ID list with the session-ID
-// comparator so the report is deterministic across registry shards.
-func sortStrings(ids []string) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && sessionIDLess(ids[j], ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

@@ -133,33 +133,13 @@ tframes=$(curl -sSf "$base/v1/streams/$tid/frames?n=50" | wc -l)
 curl -sSf "$base/metrics" | grep -q '^vbrsim_trunk_sessions_active 1$'
 curl -sSf "$base/metrics" | grep -q '^vbrsim_trunk_sources_active 4$'
 
-# Metrics scrape gate: every metric name documented in DESIGN.md §9 must be
-# served with a TYPE header. Keep this list in sync with DESIGN.md and
-# internal/server/metrics_expfmt_test.go (documentedMetrics).
+# Metrics scrape gate: every metric name in DESIGN.md §9's metric table
+# must be served with a TYPE header. That table is the one list of metric
+# names; internal/server/metrics_expfmt_test.go parses the same rows.
 curl -sSf "$base/metrics" >"$tmpdir/metrics"
-for name in \
-    vbrsim_sessions_active vbrsim_sessions_total vbrsim_streams_rejected_total \
-    vbrsim_frames_streamed_total vbrsim_stream_request_frames \
-    vbrsim_job_duration_seconds vbrsim_jobs_failed_total vbrsim_jobs_rejected_total \
-    vbrsim_estimator_completed vbrsim_estimator_p vbrsim_estimator_std_err \
-    vbrsim_estimator_norm_var vbrsim_estimator_variance_ratio vbrsim_estimator_reps_per_sec \
-    vbrsim_par_runs_total vbrsim_par_tasks_total vbrsim_par_busy_seconds_total \
-    vbrsim_par_peak_in_flight vbrsim_par_utilization \
-    vbrsim_plan_cache_hits_total vbrsim_plan_cache_misses_total \
-    vbrsim_plan_cache_evictions_total vbrsim_plan_cache_singleflight_waits_total \
-    vbrsim_streamblock_refills_total vbrsim_streamblock_arena_bytes \
-    vbrsim_streamblock_block_ns \
-    vbrsim_trunk_sessions_active vbrsim_trunk_sources_active vbrsim_trunk_fanout_ns \
-    vbrsim_server_shard_sessions vbrsim_server_admission_rejects_total \
-    vbrsim_server_evictions_total vbrsim_server_admission_cost_used \
-    vbrsim_server_sweep_seconds vbrsim_server_swept_sessions_total \
-    vbrsim_http_requests_total vbrsim_http_errors_total \
-    vbrsim_http_request_seconds vbrsim_http_in_flight \
-    vbrsim_server_shard_requests_total vbrsim_server_frame_emit_seconds \
-    vbrsim_statmon_frames_sampled_total vbrsim_statmon_hurst \
-    vbrsim_statmon_acf_err vbrsim_statmon_drift \
-    vbrsim_statmon_sessions_monitored vbrsim_statmon_sessions_drifting
-do
+names=$(sed -n 's/^| `\(vbrsim_[a-z0-9_]*\)` |.*/\1/p' DESIGN.md)
+[ -n "$names" ] || { echo "no metric names extracted from DESIGN.md" >&2; exit 1; }
+for name in $names; do
     grep -q "^# TYPE $name " "$tmpdir/metrics" \
         || { echo "documented metric $name missing from /metrics" >&2; exit 1; }
 done
