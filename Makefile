@@ -21,7 +21,7 @@ vet:
 ci:
 	./scripts/ci.sh
 
-# Runs the ablation suite and writes machine-readable BENCH_7.json.
+# Runs the ablation suite and writes machine-readable BENCH_8.json.
 bench:
 	$(GO) run ./cmd/bench
 

@@ -8,7 +8,7 @@
 //	go run ./cmd/bench -o out.json -benchtime 2s
 //	go run ./cmd/bench -only 'StreamBlockFill' -benchtime 300ms
 //	go run ./cmd/bench -only 'DHPathRealInto|StreamBlockFill' \
-//	    -compare BENCH_7.json -threshold 0.25
+//	    -compare BENCH_8.json -threshold 0.25
 //
 // With -compare the freshly measured subset is diffed against the old
 // report per benchmark; any regression beyond -threshold (fractional

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"vbrsim/internal/acf"
+	"vbrsim/internal/core"
 	"vbrsim/internal/daviesharte"
 	"vbrsim/internal/dist"
 	"vbrsim/internal/fft"
@@ -230,22 +231,6 @@ func paperModel() (acf.Composite, transform.T, dist.Distribution, error) {
 	return comp, tr, tr.Target, nil
 }
 
-// streamPlanLen is the exact-plan length behind the truncated fast path,
-// matching what modelspec.Stream derives (core.TruncatedPlanForCtx with an
-// unbounded horizon), so conformance exercises the very plans production
-// streams run on.
-const streamPlanLen = 4096
-
-// truncatedFor builds the default truncated-AR view of the model through
-// the shared plan cache.
-func truncatedFor(ctx context.Context, model acf.Model) (*hosking.Truncated, error) {
-	plan, err := hosking.CachedPlanCtx(ctx, model, streamPlanLen)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Truncate(hosking.TruncateOptions{})
-}
-
 // genBackend is one background-path generator under test. All three
 // produce zero-mean unit-variance Gaussian paths targeting the same ACF;
 // they differ in algorithm (and therefore in failure modes).
@@ -287,7 +272,7 @@ const streamBlockTotal = 2048
 
 // streamBlockEngine builds the conformance-scale block engine for model.
 func streamBlockEngine(ctx context.Context, model acf.Model) (*streamblock.Engine, error) {
-	trunc, err := truncatedFor(ctx, model)
+	trunc, err := core.TruncatedPlanForCtx(ctx, model, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -327,14 +312,14 @@ func coreBackends() []genBackend {
 		{
 			name: "hosking-fast",
 			path: func(ctx context.Context, model acf.Model, n int, seed uint64) ([]float64, error) {
-				trunc, err := truncatedFor(ctx, model)
+				trunc, err := core.TruncatedPlanForCtx(ctx, model, 0, 0)
 				if err != nil {
 					return nil, err
 				}
 				return trunc.Path(rng.New(seed), n), nil
 			},
 			prepare: func(ctx context.Context, model acf.Model, n int) (pathGen, error) {
-				trunc, err := truncatedFor(ctx, model)
+				trunc, err := core.TruncatedPlanForCtx(ctx, model, 0, 0)
 				if err != nil {
 					return nil, err
 				}

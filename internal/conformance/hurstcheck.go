@@ -3,6 +3,7 @@ package conformance
 import (
 	"context"
 
+	"vbrsim/internal/core"
 	"vbrsim/internal/hurst"
 	"vbrsim/internal/rng"
 )
@@ -33,7 +34,7 @@ func (c hurstCheck) Run(ctx context.Context, cfg Config) Result {
 	modelH := comp.Hurst()
 	res.note("model H = %.3f (beta = %.3f)", modelH, comp.Beta)
 
-	trunc, err := truncatedFor(ctx, comp)
+	trunc, err := core.TruncatedPlanForCtx(ctx, comp, 0, 0)
 	if err != nil {
 		return res.fail(err)
 	}

@@ -42,7 +42,7 @@ func (c queueTailCheck) Run(ctx context.Context, cfg Config) Result {
 	if err != nil {
 		return res.fail(err)
 	}
-	trunc, err := truncatedFor(ctx, comp)
+	trunc, err := core.TruncatedPlanForCtx(ctx, comp, 0, 0)
 	if err != nil {
 		return res.fail(err)
 	}

@@ -3,6 +3,8 @@ package conformance
 import (
 	"context"
 	"math"
+
+	"vbrsim/internal/core"
 )
 
 // streamBatchCheck gates the overlapped-block streaming engine against the
@@ -75,7 +77,7 @@ func (c streamBatchCheck) Run(ctx context.Context, cfg Config) Result {
 	// truncated AR's implied ACF is a deterministic recursion off the
 	// frozen Durbin-Levinson row, and its gap to the composite target IS
 	// the approximation the block engine removes.
-	trunc, err := truncatedFor(ctx, comp)
+	trunc, err := core.TruncatedPlanForCtx(ctx, comp, 0, 0)
 	if err != nil {
 		return res.fail(err)
 	}

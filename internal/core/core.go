@@ -281,25 +281,23 @@ func (m *Model) TruncatedPlanCtx(ctx context.Context, n int, tol float64) (*hosk
 // Model.TruncatedPlan clamps it, so offline and served generation derive
 // bit-identical plans.
 func TruncatedPlanForCtx(ctx context.Context, model acf.Model, n int, tol float64) (*hosking.Truncated, error) {
-	// The truncated generator is horizon-unbounded, so the exact plan only
-	// has to be long enough for the partial correlations to die out (for
-	// the paper's LRD composite that takes a few hundred lags): clamp to
-	// [truncPlanLenMin, autoHoskingLimit] independent of n.
-	planLen := n
-	if planLen <= 0 {
-		planLen = autoHoskingLimit
+	if n <= 0 {
+		n = autoHoskingLimit
 	}
-	if planLen < truncPlanLenMin {
-		planLen = truncPlanLenMin
-	}
-	if planLen > autoHoskingLimit {
-		planLen = autoHoskingLimit
-	}
-	plan, err := hosking.CachedPlanCtx(ctx, model, planLen)
+	plan, err := hosking.CachedPlanCtx(ctx, model, truncPlanLen(n))
 	if err != nil {
 		return nil, err
 	}
 	return plan.Truncate(hosking.TruncateOptions{Tol: tol})
+}
+
+// truncPlanLen is the exact-plan length behind a truncated view for a
+// horizon of n frames. The truncated generator is horizon-unbounded, so the
+// plan only has to be long enough for the partial correlations to die out
+// (for the paper's LRD composite that takes a few hundred lags): n is
+// clamped to [truncPlanLenMin, autoHoskingLimit].
+func truncPlanLen(n int) int {
+	return min(max(n, truncPlanLenMin), autoHoskingLimit)
 }
 
 // Generate synthesizes n frames of foreground traffic.
@@ -324,13 +322,7 @@ func generateBackground(model acf.Model, n int, seed uint64, backend Backend) ([
 		return plan.Path(rng.New(seed), n), nil
 	}
 	if backend == BackendHoskingFast {
-		planLen := n
-		if planLen < truncPlanLenMin {
-			planLen = truncPlanLenMin
-		}
-		if planLen > autoHoskingLimit {
-			planLen = autoHoskingLimit
-		}
+		planLen := truncPlanLen(n)
 		plan, err := hosking.CachedPlan(model, planLen)
 		if err != nil {
 			return nil, err

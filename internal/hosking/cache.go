@@ -3,10 +3,10 @@
 // (ACF model, length) plans. The cache is keyed by a fingerprint of the
 // *evaluated* autocorrelation table — not the model value — so any two
 // models that agree on the first n lags share a plan, and models carrying
-// slices or closures need no comparability. Comparable model values
-// additionally get an identity fast path so warm hits skip the O(n) table
-// evaluation. Concurrent requests for the same plan are single-flighted:
-// one goroutine builds, the rest wait.
+// slices or closures need no comparability. Every Get pays one O(n) table
+// evaluation, small beside the O(n^2) build a hit saves. Concurrent
+// requests for the same plan are single-flighted: one goroutine builds, the
+// rest wait.
 //
 // Because a hash key can collide, every hit is verified: the cached plan's
 // autocorrelation table must match the requested model bitwise, otherwise
@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"reflect"
 	"sync"
 
 	"vbrsim/internal/acf"
@@ -47,9 +46,9 @@ func CachedPlanCtx(ctx context.Context, model acf.Model, n int) (*Plan, error) {
 
 // CacheStats is a snapshot of a PlanCache's counters since construction.
 type CacheStats struct {
-	// Hits counts requests served from an existing entry (identity or
-	// verified content match), including requests that waited for an
-	// in-flight build of the same plan.
+	// Hits counts requests served from an existing entry (a verified
+	// content match), including requests that waited for an in-flight
+	// build of the same plan.
 	Hits uint64
 	// Misses counts requests that had to run the O(n^2) recursion: cold
 	// keys and fingerprint-collision fallthroughs (which build uncached).
@@ -68,21 +67,11 @@ type PlanCache struct {
 	tick    uint64 // LRU clock
 	stats   CacheStats
 	entries map[cacheKey]*cacheEntry
-	// ident is an identity fast path: for comparable model values a repeat
-	// Get skips the O(n) table evaluation and fingerprinting entirely.
-	// Relies on acf.Model.At being pure, which the whole package assumes
-	// (plans are immutable evaluations of the model).
-	ident map[identKey]*cacheEntry
 }
 
 type cacheKey struct {
 	fp uint64
 	n  int
-}
-
-type identKey struct {
-	model acf.Model
-	n     int
 }
 
 type cacheEntry struct {
@@ -100,7 +89,6 @@ func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{
 		cap:     capacity,
 		entries: make(map[cacheKey]*cacheEntry),
-		ident:   make(map[identKey]*cacheEntry),
 	}
 }
 
@@ -127,7 +115,6 @@ func (c *PlanCache) Purge() {
 		select {
 		case <-e.ready:
 			delete(c.entries, k)
-			c.dropIdentLocked(e)
 		default:
 		}
 	}
@@ -158,10 +145,6 @@ func fingerprint(r []float64) uint64 {
 // Get returns a plan for (model, n), building it at most once per key even
 // under concurrent callers. The returned plan is shared: callers must treat
 // it as read-only (which the Plan API already enforces).
-//
-// Repeat requests with a comparable model value (plain structs like acf.FGN)
-// short-circuit through an identity map without re-evaluating the model;
-// everything else pays one O(n) table evaluation and is matched by content.
 func (c *PlanCache) Get(model acf.Model, n int) (*Plan, error) {
 	return c.GetCtx(context.Background(), model, n)
 }
@@ -229,34 +212,6 @@ func (c *PlanCache) get(ctx context.Context, model acf.Model, n int) (*Plan, err
 	if n <= 0 || n > MaxPlanLen {
 		return NewPlanOptsCtx(ctx, model, n, PlanOptions{}) // let NewPlan produce the error
 	}
-	var ik identKey
-	hasIdent := model != nil && hashableModel(model)
-	if hasIdent {
-		ik = identKey{model: model, n: n}
-		c.mu.Lock()
-		if e, ok := c.ident[ik]; ok {
-			c.tick++
-			e.used = c.tick
-			c.mu.Unlock()
-			waited, werr := waitEntry(ctx, e)
-			if waited {
-				c.noteSingleflightWait()
-			}
-			if werr != nil {
-				return nil, werr
-			}
-			// Only successful builds stay in the identity map, but a build
-			// can still fail after this entry was recorded dead — count the
-			// hit only once the entry actually delivered a plan, so the
-			// /metrics counters are not skewed by canceled waiters and
-			// failed builds.
-			if e.err == nil {
-				c.noteHit()
-			}
-			return e.plan, e.err
-		}
-		c.mu.Unlock()
-	}
 	table := make([]float64, n)
 	for k := range table {
 		table[k] = model.At(k)
@@ -279,13 +234,7 @@ func (c *PlanCache) get(ctx context.Context, model acf.Model, n int) (*Plan, err
 			return nil, e.err
 		}
 		if tablesEqual(e.plan.r, table) {
-			// Verified content match: safe to record the identity shortcut.
-			c.mu.Lock()
-			c.stats.Hits++
-			if hasIdent {
-				c.ident[ik] = e
-			}
-			c.mu.Unlock()
+			c.noteHit()
 			return e.plan, nil
 		}
 		// Fingerprint collision: different table, same hash. Build directly
@@ -295,9 +244,6 @@ func (c *PlanCache) get(ctx context.Context, model acf.Model, n int) (*Plan, err
 	}
 	e := &cacheEntry{ready: make(chan struct{}), used: c.tick}
 	c.entries[key] = e
-	if hasIdent {
-		c.ident[ik] = e
-	}
 	c.stats.Misses++
 	c.evictLocked()
 	c.mu.Unlock()
@@ -306,7 +252,6 @@ func (c *PlanCache) get(ctx context.Context, model acf.Model, n int) (*Plan, err
 	if err != nil {
 		c.mu.Lock()
 		delete(c.entries, key)
-		c.dropIdentLocked(e)
 		c.mu.Unlock()
 		e.err = err
 		close(e.ready)
@@ -335,49 +280,6 @@ func (c *PlanCache) noteMiss() {
 	c.mu.Unlock()
 }
 
-// hashableModel reports whether the model value can be a map key. Type
-// comparability is not enough: a comparable struct may carry an interface
-// field whose dynamic value is a slice (acf.Composite does), and hashing
-// such a value panics at runtime. Walk the value and reject anything the
-// runtime hash would reject.
-func hashableModel(m acf.Model) bool {
-	return hashableValue(reflect.ValueOf(m))
-}
-
-func hashableValue(v reflect.Value) bool {
-	switch v.Kind() {
-	case reflect.Slice, reflect.Map, reflect.Func:
-		return false
-	case reflect.Interface:
-		return v.IsNil() || hashableValue(v.Elem())
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if !hashableValue(v.Field(i)) {
-				return false
-			}
-		}
-		return true
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			if !hashableValue(v.Index(i)) {
-				return false
-			}
-		}
-		return true
-	default:
-		return true
-	}
-}
-
-// dropIdentLocked removes every identity mapping that points at e.
-func (c *PlanCache) dropIdentLocked(e *cacheEntry) {
-	for k, v := range c.ident {
-		if v == e {
-			delete(c.ident, k)
-		}
-	}
-}
-
 // evictLocked drops least-recently-used ready entries until the cache is
 // within capacity. In-flight builds are never evicted.
 func (c *PlanCache) evictLocked() {
@@ -398,7 +300,6 @@ func (c *PlanCache) evictLocked() {
 		if !found {
 			return
 		}
-		c.dropIdentLocked(c.entries[victim])
 		delete(c.entries, victim)
 		c.stats.Evictions++
 	}

@@ -10,8 +10,8 @@ import (
 	"vbrsim/internal/acf"
 )
 
-// Stats: a cold Get is a miss, repeats are hits (identity or content), and
-// the LRU cap produces evictions.
+// Stats: a cold Get is a miss, repeats are content hits, and the LRU cap
+// produces evictions.
 func TestPlanCacheStats(t *testing.T) {
 	c := NewPlanCache(2)
 	model := acf.FGN{H: 0.8}
@@ -22,7 +22,7 @@ func TestPlanCacheStats(t *testing.T) {
 	if s.Misses != 1 || s.Hits != 0 {
 		t.Fatalf("after cold get: %+v, want 1 miss, 0 hits", s)
 	}
-	// Identity hit.
+	// Content hit: the same model value again.
 	if _, err := c.Get(model, 200); err != nil {
 		t.Fatal(err)
 	}

@@ -82,33 +82,84 @@ func (s Superposition) ArrivalPath(r *rng.Source, k int) []float64 {
 	return sum
 }
 
-// ArrivalPathInto sums N independent paths into buf. When the base source
-// also supports buffer reuse the per-source path goes through a pooled
-// scratch slice, so a superposition of hundreds of sources performs zero
-// path allocations per replication.
+// ArrivalPathInto sums N independent paths into buf, drawing them exactly
+// as the single-component Aggregate{Base, Count: N} does.
 func (s Superposition) ArrivalPathInto(r *rng.Source, buf []float64) {
 	if s.N <= 0 {
 		panic("queue: Superposition with non-positive N")
+	}
+	Aggregate{Components: []Component{{Source: s.Base, Count: s.N}}}.ArrivalPathInto(r, buf)
+}
+
+// Component is one weighted group in a path-source Aggregate.
+type Component struct {
+	// Source draws the group's per-replication paths.
+	Source PathSource
+	// Weight scales the group's contribution; 0 means 1.
+	Weight float64
+	// Count replicates the group; 0 means 1. Each replica draws from its
+	// own split rng, exactly as Superposition replicates its base.
+	Count int
+}
+
+// Aggregate superposes heterogeneous PathSource components slot-wise. For
+// each component in order and each replica, it draws one path from
+// r.Split(), so a single weight-1 component is Superposition{Base, N}
+// draw for draw, and ports from hand-rolled superposition reproduce their
+// outputs bit for bit. Aggregate implements PathSourceInto itself and so
+// drops into every estimator.
+type Aggregate struct {
+	Components []Component
+}
+
+// ArrivalPath draws and sums the component paths.
+func (a Aggregate) ArrivalPath(r *rng.Source, k int) []float64 {
+	buf := make([]float64, k)
+	a.ArrivalPathInto(r, buf)
+	return buf
+}
+
+// ArrivalPathInto sums the component paths into buf, routing sources that
+// support buffer reuse through a pooled scratch slice (zero path
+// allocations per replication in steady state, however many sources the
+// aggregate carries).
+func (a Aggregate) ArrivalPathInto(r *rng.Source, buf []float64) {
+	if len(a.Components) == 0 {
+		panic("queue: Aggregate with no components")
 	}
 	for j := range buf {
 		buf[j] = 0
 	}
 	k := len(buf)
-	if base, ok := s.Base.(PathSourceInto); ok {
-		scratch := scratchSlice(k)
-		defer releaseScratch(scratch)
-		for i := 0; i < s.N; i++ {
-			base.ArrivalPathInto(r.Split(), *scratch)
-			for j, v := range *scratch {
-				buf[j] += v
-			}
+	scratch := scratchSlice(k)
+	defer releaseScratch(scratch)
+	for _, c := range a.Components {
+		w := c.Weight
+		if w == 0 {
+			w = 1
 		}
-		return
-	}
-	for i := 0; i < s.N; i++ {
-		path := s.Base.ArrivalPath(r.Split(), k)
-		for j := range buf {
-			buf[j] += path[j]
+		count := c.Count
+		if count == 0 {
+			count = 1
+		}
+		into, reuse := c.Source.(PathSourceInto)
+		for rep := 0; rep < count; rep++ {
+			var path []float64
+			if reuse {
+				into.ArrivalPathInto(r.Split(), *scratch)
+				path = *scratch
+			} else {
+				path = c.Source.ArrivalPath(r.Split(), k)
+			}
+			if w == 1 {
+				for j, v := range path {
+					buf[j] += v
+				}
+			} else {
+				for j, v := range path {
+					buf[j] += w * v
+				}
+			}
 		}
 	}
 }

@@ -97,3 +97,40 @@ func TestSuperpositionIntoMatchesArrivalPath(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateWeightedSum checks a weighted heterogeneous Aggregate
+// against the hand-rolled sum of split-rng draws.
+func TestAggregateWeightedSum(t *testing.T) {
+	base := intoSource{mean: 0.8}
+	plain := PathSourceFunc(base.ArrivalPath)
+	const k = 300
+	r := rng.New(9)
+	p1 := base.ArrivalPath(r.Split(), k)
+	p2 := plain.ArrivalPath(r.Split(), k)
+	p3 := base.ArrivalPath(r.Split(), k)
+	want := make([]float64, k)
+	for j := range want {
+		want[j] = p1[j] + 0.25*p2[j] + 0.25*p3[j]
+	}
+	got := Aggregate{Components: []Component{
+		{Source: base},
+		{Source: plain, Weight: 0.25, Count: 2},
+	}}.ArrivalPath(rng.New(9), k)
+	for j := range want {
+		if got[j] != want[j] {
+			t.Fatalf("slot %d: Aggregate %v, hand-rolled sum %v", j, got[j], want[j])
+		}
+	}
+}
+
+// TestSuperpositionIntoAllocs pins the per-replication allocations of a
+// superposition over a reusing base: one per r.Split, none for the path.
+func TestSuperpositionIntoAllocs(t *testing.T) {
+	sup := Superposition{Base: intoSource{mean: 0.8}, N: 3}
+	buf := make([]float64, 64)
+	r := rng.New(1)
+	sup.ArrivalPathInto(r, buf) // warm the scratch pool
+	if got := testing.AllocsPerRun(200, func() { sup.ArrivalPathInto(r, buf) }); got > 3 {
+		t.Fatalf("Superposition.ArrivalPathInto: %v allocs per call, want <= 3", got)
+	}
+}

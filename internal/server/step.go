@@ -88,42 +88,7 @@ func (s *Server) handleStreamStep(w http.ResponseWriter, r *http.Request) {
 	workers := par.Workers(s.opt.StepWorkers, len(sessions))
 	par.ForChunks(workers, len(sessions), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ss := sessions[i]
-			ss.mu.Lock()
-			if ss.closed {
-				ss.mu.Unlock()
-				results[i] = StepResult{ID: ss.id, Start: -1, Pos: -1, Gone: true}
-				continue
-			}
-			res := StepResult{ID: ss.id, Start: ss.stream.Pos()}
-			// The statmon tap sees stepped frames too (same zero-copy,
-			// position-aware contract as the frames path); the sampled
-			// counter is atomic, so workers feed it without coordination.
-			if req.IncludeFrames {
-				res.Frames = make([]float64, req.N)
-				ss.stream.Fill(res.Frames)
-				if ss.mon.Observe(int64(res.Start), res.Frames) {
-					s.metrics.statmonSampled.Add(float64(req.N))
-				}
-			} else {
-				var buf [streamChunk]float64
-				for left, pos := req.N, res.Start; left > 0; {
-					c := left
-					if c > streamChunk {
-						c = streamChunk
-					}
-					ss.stream.Fill(buf[:c])
-					if ss.mon.Observe(int64(pos), buf[:c]) {
-						s.metrics.statmonSampled.Add(float64(c))
-					}
-					left -= c
-					pos += c
-				}
-			}
-			res.Pos = ss.stream.Pos()
-			ss.served += uint64(req.N)
-			ss.mu.Unlock()
-			results[i] = res
+			results[i] = s.stepSession(sessions[i], req.N, req.IncludeFrames)
 		}
 	})
 	advanced := 0
@@ -134,4 +99,40 @@ func (s *Server) handleStreamStep(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.framesStreamed.Add(float64(advanced * req.N))
 	writeJSON(w, http.StatusOK, results)
+}
+
+// stepSession advances one session by n frames under its lock. The unlock
+// is deferred: when Fill panics, par re-raises the panic on the handler,
+// and the session must stay deletable and evictable afterwards.
+func (s *Server) stepSession(ss *session, n int, includeFrames bool) StepResult {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.closed {
+		return StepResult{ID: ss.id, Start: -1, Pos: -1, Gone: true}
+	}
+	res := StepResult{ID: ss.id, Start: ss.stream.Pos()}
+	// The statmon tap sees stepped frames too (same zero-copy,
+	// position-aware contract as the frames path); the sampled counter is
+	// atomic, so workers feed it without coordination.
+	if includeFrames {
+		res.Frames = make([]float64, n)
+		ss.stream.Fill(res.Frames)
+		if ss.mon.Observe(int64(res.Start), res.Frames) {
+			s.metrics.statmonSampled.Add(float64(n))
+		}
+	} else {
+		var buf [streamChunk]float64
+		for left, pos := n, res.Start; left > 0; {
+			c := min(left, streamChunk)
+			ss.stream.Fill(buf[:c])
+			if ss.mon.Observe(int64(pos), buf[:c]) {
+				s.metrics.statmonSampled.Add(float64(c))
+			}
+			left -= c
+			pos += c
+		}
+	}
+	res.Pos = ss.stream.Pos()
+	ss.served += uint64(n)
+	return res
 }

@@ -1,12 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"vbrsim/internal/modelspec"
 )
@@ -251,5 +256,65 @@ func TestStreamStepValidation(t *testing.T) {
 	got := decodeJSON[SessionInfo](t, resp)
 	if got.Pos != 0 {
 		t.Fatalf("session advanced to %d by a rejected batch", got.Pos)
+	}
+}
+
+// panicStream is a frameStream whose Fill panics, standing in for an engine
+// bug hit mid-step.
+type panicStream struct{ fakeStream }
+
+func (*panicStream) Fill([]float64) { panic("engine bug") }
+
+// TestStreamStepPanicReleasesSession steps a batch in which one session's
+// Fill panics. The panic reaches net/http's recover, and afterwards both
+// sessions must still be deletable, with admission cost and the session
+// gauge back at zero.
+func TestStreamStepPanicReleasesSession(t *testing.T) {
+	s := New(Options{StepWorkers: 2})
+	defer s.Close()
+	ts := httptest.NewUnstartedServer(s)
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0)
+	ts.Start()
+	defer ts.Close()
+
+	var ids []string
+	for _, stream := range []frameStream{&panicStream{}, &fakeStream{}} {
+		ss := &session{name: "fake", cost: 1, stream: stream, created: time.Now()}
+		if err := s.adm.reserve(ss.cost); err != nil {
+			t.Fatal(err)
+		}
+		s.addSession(ss)
+		ids = append(ids, ss.id)
+	}
+
+	body, err := json.Marshal(StepRequest{IDs: ids, N: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.Post(ts.URL+"/v1/streams/step", "application/json", bytes.NewReader(body)); err == nil {
+		resp.Body.Close()
+		t.Fatalf("panicking step answered %d", resp.StatusCode)
+	}
+
+	client := &http.Client{Timeout: 2 * time.Second}
+	for _, id := range ids {
+		req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/streams/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("DELETE %s after a panicking step: %v", id, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("DELETE %s: status %d, want 204", id, resp.StatusCode)
+		}
+	}
+	if used := s.adm.usedCost(); used != 0 {
+		t.Fatalf("admission cost used = %v after deletes, want 0", used)
+	}
+	if v := s.metrics.sessionsActive.Value(); v != 0 {
+		t.Fatalf("vbrsim_sessions_active = %v after deletes, want 0", v)
 	}
 }

@@ -72,12 +72,11 @@ type Config struct {
 // truncated recursion and small enough that a refill stays ~1ms.
 const DefaultTotal = 8192
 
-// Engine holds the immutable precomputed state shared by every stream of
-// one (model, truncation, config): the Davies-Harte plan, the AR row, and
-// the spectrum of the stitch kernel. Safe for concurrent use.
+// Engine holds the immutable precomputed state of one (model, truncation,
+// config): the Davies-Harte plan, the AR row, and the spectrum of the
+// stitch kernel. Safe for concurrent use.
 type Engine struct {
-	plan  *daviesharte.Plan
-	trunc *hosking.Truncated
+	plan *daviesharte.Plan
 
 	order   int // p: AR truncation order = overlap length
 	block   int // B: emitted frames per refill
@@ -89,9 +88,9 @@ type Engine struct {
 	invConv float64      // 1/F: normalization of the unscaled Hermitian synthesis
 }
 
-// NewEngine builds the engine for the model's frozen AR(p) view. The model
+// EngineFor builds the engine for the model's frozen AR(p) view. The model
 // must be the same ACF the truncation was derived from.
-func NewEngine(model acf.Model, trunc *hosking.Truncated, cfg Config) (*Engine, error) {
+func EngineFor(model acf.Model, trunc *hosking.Truncated, cfg Config) (*Engine, error) {
 	p := trunc.Order()
 	total := cfg.Total
 	if total == 0 {
@@ -145,7 +144,6 @@ func NewEngine(model acf.Model, trunc *hosking.Truncated, cfg Config) (*Engine, 
 
 	return &Engine{
 		plan:    plan,
-		trunc:   trunc,
 		order:   p,
 		block:   b,
 		horizon: c,

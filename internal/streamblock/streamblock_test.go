@@ -35,7 +35,7 @@ func testEngine(t testing.TB, total int) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(model, trunc, Config{Total: total})
+	eng, err := EngineFor(model, trunc, Config{Total: total})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,38 +220,6 @@ func TestMomentsSane(t *testing.T) {
 	}
 }
 
-// TestEngineForCaches checks sessions of one spec share one engine, and
-// that distinct configs get distinct engines.
-func TestEngineForCaches(t *testing.T) {
-	model := paperACF(t)
-	plan, err := hosking.NewPlan(model, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trunc, err := plan.Truncate(hosking.TruncateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := EngineFor(model, trunc, Config{Total: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EngineFor(model, trunc, Config{Total: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("EngineFor rebuilt an engine for an identical key")
-	}
-	c, err := EngineFor(model, trunc, Config{Total: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
-		t.Fatal("EngineFor shared an engine across different configs")
-	}
-}
-
 // TestRegisterMetrics pins the exported names and checks the refill counter
 // and arena gauge move.
 func TestRegisterMetrics(t *testing.T) {
@@ -286,7 +254,7 @@ func TestRegisterMetrics(t *testing.T) {
 	}
 }
 
-// TestNewEngineRejectsTinyTotal checks the p-room validation.
+// TestNewEngineRejectsTinyTotal checks EngineFor's p-room validation.
 func TestNewEngineRejectsTinyTotal(t *testing.T) {
 	model := paperACF(t)
 	plan, err := hosking.NewPlan(model, 1024)
@@ -297,7 +265,7 @@ func TestNewEngineRejectsTinyTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEngine(model, trunc, Config{Total: 512}); err == nil {
-		t.Fatal("NewEngine accepted a total smaller than twice the order")
+	if _, err := EngineFor(model, trunc, Config{Total: 512}); err == nil {
+		t.Fatal("EngineFor accepted a total smaller than twice the order")
 	}
 }

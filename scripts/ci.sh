@@ -177,6 +177,19 @@ awk -v d="$drift" 'BEGIN { exit !(d >= 1) }' \
     || { echo "drift gauge $drift below alert threshold 1" >&2; exit 1; }
 echo "statmon drift smoke OK"
 
+# Accounting drain: deleting the four smoke sessions must bring the
+# session, trunk-source, arena and admission-cost gauges back to zero.
+for id in "$sid" "$tid" "$cid" "$bid"; do
+    curl -sSf -X DELETE "$base/v1/streams/$id" >/dev/null
+done
+curl -sSf "$base/metrics" >"$tmpdir/metrics_drained"
+for gauge in vbrsim_sessions_active vbrsim_trunk_sources_active \
+    vbrsim_streamblock_arena_bytes vbrsim_server_admission_cost_used; do
+    grep -q "^$gauge 0$" "$tmpdir/metrics_drained" \
+        || { echo "$gauge not 0 after deleting every smoke session" >&2; grep "^$gauge " "$tmpdir/metrics_drained" >&2; exit 1; }
+done
+echo "accounting drain OK"
+
 # Access-log gate: every request above must have produced one NDJSON line
 # carrying a request id; every line must be a single JSON object.
 [ -s "$tmpdir/access.ndjson" ] || { echo "access log is empty" >&2; exit 1; }

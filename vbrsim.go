@@ -258,9 +258,9 @@ type (
 	// TrunkAggregate superposes weighted PathSource components in the exact
 	// draw order of Superposition, so ports from hand-rolled superposition
 	// are bit-identical. It drops into every queue estimator.
-	TrunkAggregate = trunk.Aggregate
+	TrunkAggregate = queue.Aggregate
 	// TrunkComponent is one weighted group in a TrunkAggregate.
-	TrunkComponent = trunk.Component
+	TrunkComponent = queue.Component
 )
 
 // OpenTrunk materializes a trunk spec into an aggregate stream.
