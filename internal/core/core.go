@@ -279,7 +279,9 @@ func (m *Model) TruncatedPlanCtx(ctx context.Context, n int, tol float64) (*hosk
 // model specs rather than fitted Models. n is a horizon hint (use 0 for
 // unbounded streaming); the exact plan length is clamped exactly as
 // Model.TruncatedPlan clamps it, so offline and served generation derive
-// bit-identical plans.
+// bit-identical plans. The view is memoized on the plan, so callers get one
+// *Truncated while the plan stays cached and a fresh one after a purge or
+// eviction rebuilds it.
 func TruncatedPlanForCtx(ctx context.Context, model acf.Model, n int, tol float64) (*hosking.Truncated, error) {
 	if n <= 0 {
 		n = autoHoskingLimit

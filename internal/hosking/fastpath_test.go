@@ -164,6 +164,35 @@ func TestTruncateACFErrorBound(t *testing.T) {
 	}
 }
 
+// Truncate memoizes per options: equal options (defaults filled in) return
+// the one immutable view, a different Tol its own.
+func TestTruncateMemoized(t *testing.T) {
+	plan, err := NewPlan(acf.FGN{H: 0.8}, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := plan.Truncate(TruncateOptions{Tol: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := plan.Truncate(TruncateOptions{Tol: 1e-3}); b != a {
+		t.Error("equal options returned a different view")
+	}
+	if b, _ := plan.Truncate(TruncateOptions{}); b != a {
+		t.Error("default options did not share the Tol=1e-3 view")
+	}
+	c, err := plan.Truncate(TruncateOptions{Tol: 2e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == a {
+		t.Error("a different Tol returned the same view")
+	}
+	if c.Tol() != 2e-3 || a.Tol() != 1e-3 {
+		t.Errorf("tols = %v, %v", a.Tol(), c.Tol())
+	}
+}
+
 // A truncated path agrees bit-for-bit with the exact generator up to (and
 // including) the truncation order, and a truncation whose order covers the
 // whole requested path IS the exact generator.

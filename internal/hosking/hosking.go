@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"vbrsim/internal/acf"
 	"vbrsim/internal/par"
@@ -56,13 +57,17 @@ const reduceChunk = 8192
 
 // Plan holds the precomputed Durbin–Levinson state for generating paths of
 // length n. A Plan is immutable after construction and safe for concurrent
-// use by multiple goroutines.
+// use by multiple goroutines; the only mutable state is the memo of its
+// (equally immutable) truncated views.
 type Plan struct {
 	n      int
 	r      []float64 // r[k] = autocorrelation at lag k, 0..n-1
 	flat   []float64 // reversed-row triangle: row k at flat[k*(k-1)/2:], row[i] = phi_{k,k-i}
 	v      []float64 // v[k] = conditional variance of X_k given X_0..X_{k-1}
 	phiSum []float64 // phiSum[k] = sum_j phi_{k,j}; 0 at k = 0
+
+	truncMu sync.Mutex
+	truncs  map[TruncateOptions]truncResult // memoized Truncate results
 }
 
 // rowOffset returns the index of row k inside the flat triangle.

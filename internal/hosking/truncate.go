@@ -66,33 +66,64 @@ type Truncated struct {
 	maxErr float64 // measured max |implied ACF - target ACF| over lags (p, plan length)
 }
 
+// truncMemoCap bounds how many distinct options one plan memoizes. Serving
+// opens use one tolerance per process; job requests carry client-chosen
+// tolerances, and those past the cap are derived afresh on every call
+// instead of growing the memo without bound.
+const truncMemoCap = 8
+
+// truncResult is one memoized Truncate outcome.
+type truncResult struct {
+	t   *Truncated
+	err error
+}
+
 // Truncate selects the truncation order and returns the fast generation
 // view. The order is placed after the last partial correlation with
 // magnitude >= Tol (requiring at least Run quiet lags after it inside the
 // plan); when ACFTol is set the order is then advanced until the measured
 // induced ACF error is within that bound.
+//
+// The result is memoized on the plan per options (defaults filled in), so
+// every caller asking for the same view of one plan shares one immutable
+// *Truncated for as long as the plan lives.
 func (p *Plan) Truncate(opt TruncateOptions) (*Truncated, error) {
-	tol := opt.Tol
-	if tol <= 0 {
-		tol = 1e-3
+	if opt.Tol <= 0 {
+		opt.Tol = 1e-3
 	}
-	run := opt.Run
-	if run <= 0 {
-		run = 32
+	if opt.Run <= 0 {
+		opt.Run = 32
 	}
-	maxOrder := p.n - 1 - run
+	p.truncMu.Lock()
+	defer p.truncMu.Unlock()
+	if r, ok := p.truncs[opt]; ok {
+		return r.t, r.err
+	}
+	t, err := p.truncate(opt)
+	if len(p.truncs) < truncMemoCap {
+		if p.truncs == nil {
+			p.truncs = make(map[TruncateOptions]truncResult)
+		}
+		p.truncs[opt] = truncResult{t, err}
+	}
+	return t, err
+}
+
+// truncate derives the view for options with their defaults filled in.
+func (p *Plan) truncate(opt TruncateOptions) (*Truncated, error) {
+	maxOrder := p.n - 1 - opt.Run
 	if maxOrder < 1 {
-		return nil, fmt.Errorf("%w: plan length %d too short for run %d", ErrNoTruncation, p.n, run)
+		return nil, fmt.Errorf("%w: plan length %d too short for run %d", ErrNoTruncation, p.n, opt.Run)
 	}
 	// Last lag whose partial correlation is still significant.
 	order := 1
 	for k := 1; k < p.n; k++ {
-		if math.Abs(p.PartialCorr(k)) >= tol {
+		if math.Abs(p.PartialCorr(k)) >= opt.Tol {
 			order = k
 		}
 	}
 	if order > maxOrder {
-		return nil, fmt.Errorf("%w: partial correlations above %g up to lag %d of %d", ErrNoTruncation, tol, order, p.n)
+		return nil, fmt.Errorf("%w: partial correlations above %g up to lag %d of %d", ErrNoTruncation, opt.Tol, order, p.n)
 	}
 	for {
 		maxErr := p.arExtensionError(order)
@@ -104,7 +135,7 @@ func (p *Plan) Truncate(opt TruncateOptions) (*Truncated, error) {
 				v:      p.v[order],
 				sqrtV:  math.Sqrt(p.v[order]),
 				phiSum: p.phiSum[order],
-				tol:    tol,
+				tol:    opt.Tol,
 				maxErr: maxErr,
 			}
 			return t, nil

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"vbrsim/internal/acf"
-	"vbrsim/internal/core"
 	"vbrsim/internal/dist"
 	"vbrsim/internal/hosking"
 	"vbrsim/internal/mpegtrace"
@@ -62,7 +61,7 @@ type registration struct {
 	// per frame for truncated (p≈361 for the paper model), FFT blocks
 	// amortized over an arena for block, O(1) per frame for gop and tes.
 	cost float64
-	open func(ctx context.Context, seed uint64, p *parts, tol float64) (*Stream, error)
+	open func(ctx context.Context, s *Spec, p *parts, tol float64) (*Stream, error)
 }
 
 // gaussian reports whether the engine maps a Gaussian background through
@@ -158,50 +157,50 @@ func (s *Spec) validate() (*registration, *parts, error) {
 	return reg, p, nil
 }
 
-// openGaussian acquires the truncated plan both Gaussian engines share
-// (cached, cancellable) and fills the plan-backed Stream accessors.
-func openGaussian(ctx context.Context, seed uint64, p *parts, tol float64) (*Stream, error) {
-	trunc, err := core.TruncatedPlanForCtx(ctx, p.model, 0, tol)
+// openGaussian acquires the compiled entry both Gaussian engines share
+// (cached, cancellable; build adds the engine's own state on a miss) and
+// fills the plan-backed Stream accessors.
+func openGaussian(ctx context.Context, s *Spec, p *parts, tol float64, build func(*compiled) error) (*Stream, error) {
+	c, err := compile(ctx, s, p, tol, build)
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{seed: seed, trunc: trunc, mean: p.target.Mean(), marg: p.target}, nil
+	return &Stream{seed: s.Seed, comp: c, mean: p.target.Mean(), marg: p.target}, nil
 }
 
-func openTruncated(ctx context.Context, seed uint64, p *parts, tol float64) (*Stream, error) {
-	st, err := openGaussian(ctx, seed, p, tol)
+func openTruncated(ctx context.Context, s *Spec, p *parts, tol float64) (*Stream, error) {
+	st, err := openGaussian(ctx, s, p, tol, nil)
 	if err != nil {
 		return nil, err
 	}
-	gen, tr := hosking.NewTruncatedGenerator(st.trunc, rng.New(seed)), transform.New(p.target)
+	gen, tr := hosking.NewTruncatedGenerator(st.comp.trunc, rng.New(s.Seed)), transform.New(p.target)
 	fill := func(out []float64) {
 		for i := range out {
 			out[i] = tr.Apply(gen.Next())
 		}
 	}
 	// Replay skips the exact transform: it is stateless.
-	st.eng = &replayEngine{gen, seed, fill, func() { gen.Next() }}
+	st.eng = &replayEngine{gen, s.Seed, fill, func() { gen.Next() }}
 	return st, nil
 }
 
-func openBlock(ctx context.Context, seed uint64, p *parts, tol float64) (*Stream, error) {
-	st, err := openGaussian(ctx, seed, p, tol)
+func openBlock(ctx context.Context, s *Spec, p *parts, tol float64) (*Stream, error) {
+	st, err := openGaussian(ctx, s, p, tol, func(c *compiled) (err error) {
+		if c.eng, err = streamblock.EngineFor(p.model, c.trunc, streamblock.Config{}); err != nil {
+			return err
+		}
+		c.lut, err = transform.New(p.target).NewDefaultLUT()
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	eng, err := streamblock.EngineFor(p.model, st.trunc, streamblock.Config{})
-	if err != nil {
-		return nil, err
-	}
-	lut, err := transform.New(p.target).NewDefaultLUT()
-	if err != nil {
-		return nil, err
-	}
-	st.eng = blockEngine{eng.NewStream(seed), lut}
+	st.eng = blockEngine{st.comp.eng.NewStream(s.Seed), st.comp.lut}
 	return st, nil
 }
 
-func openGOP(_ context.Context, seed uint64, p *parts, _ float64) (*Stream, error) {
+func openGOP(_ context.Context, s *Spec, p *parts, _ float64) (*Stream, error) {
+	seed := s.Seed
 	gen, err := mpegtrace.NewGenerator(p.gop)
 	if err != nil {
 		return nil, err
@@ -215,7 +214,8 @@ func openGOP(_ context.Context, seed uint64, p *parts, _ float64) (*Stream, erro
 	return &Stream{eng: eng, seed: seed, mean: p.gop.MeanBytesPerFrame()}, nil
 }
 
-func openTES(_ context.Context, seed uint64, p *parts, _ float64) (*Stream, error) {
+func openTES(_ context.Context, s *Spec, p *parts, _ float64) (*Stream, error) {
+	seed := s.Seed
 	gen, err := tes.New(p.tes, rng.New(seed))
 	if err != nil {
 		return nil, err

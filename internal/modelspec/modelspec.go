@@ -28,8 +28,8 @@ import (
 	"vbrsim/internal/core"
 	"vbrsim/internal/dist"
 	"vbrsim/internal/farima"
-	"vbrsim/internal/hosking"
 	"vbrsim/internal/mpegtrace"
+	"vbrsim/internal/streamblock"
 	"vbrsim/internal/tes"
 	"vbrsim/internal/trace"
 	"vbrsim/internal/transform"
@@ -434,11 +434,11 @@ func (t *TESSpec) config(target dist.Distribution) tes.Config {
 // transform. It is bound to a single goroutine; trafficd serializes access
 // per session.
 type Stream struct {
-	eng   engine
-	seed  uint64
-	trunc *hosking.Truncated // nil for engines without a Gaussian plan
-	mean  float64            // stationary foreground mean (bytes per frame)
-	marg  dist.Distribution  // foreground marginal (nil for gop)
+	eng  engine
+	seed uint64
+	comp *compiled         // shared per-model state; nil for engines without a Gaussian plan
+	mean float64           // stationary foreground mean (bytes per frame)
+	marg dist.Distribution // foreground marginal (nil for gop)
 }
 
 // OpenCtx validates the spec once and opens it through its engine's
@@ -450,7 +450,7 @@ func (s *Spec) OpenCtx(ctx context.Context, tol float64) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return reg.open(ctx, s.Seed, p, tol)
+	return reg.open(ctx, s, p, tol)
 }
 
 // Close releases engine-side accounting (the block engine's arena gauge).
@@ -475,19 +475,19 @@ func (st *Stream) Reseed(seed uint64) {
 // the block engine: the stitch overlap length). The gop and tes engines
 // have no Gaussian plan and report 0.
 func (st *Stream) Order() int {
-	if st.trunc == nil {
+	if st.comp == nil {
 		return 0
 	}
-	return st.trunc.Order()
+	return st.comp.trunc.Order()
 }
 
 // MaxACFError returns the measured ACF error of the truncation (0 for the
 // plan-free gop and tes engines).
 func (st *Stream) MaxACFError() float64 {
-	if st.trunc == nil {
+	if st.comp == nil {
 		return 0
 	}
-	return st.trunc.MaxACFError()
+	return st.comp.trunc.MaxACFError()
 }
 
 // MeanRate returns the stationary mean frame size in bytes — the quantity
@@ -505,19 +505,24 @@ func (st *Stream) Marginal() dist.Distribution { return st.marg }
 // that is bit-true to what the generator actually produces, including the
 // truncation error) attenuated through the marginal transform by the paper's
 // factor a = Attenuation() — eq. 9's ρ_Y(k) ≈ a·ρ_X(k), with ρ_Y(0) = 1.
-// Engines without a Gaussian background (gop, tes) return nil: their serve-
-// path correlation has no cheap analytic form, so live monitors skip the
-// ACF and Hurst checks for them.
+// The curve is computed once per spec content and shared; each call
+// returns a fresh copy. Engines without a Gaussian background (gop, tes)
+// return nil: their serve-path correlation has no cheap analytic form, so
+// live monitors skip the ACF and Hurst checks for them.
 func (st *Stream) ImpliedACF(lags int) []float64 {
-	if st.trunc == nil || lags <= 0 {
+	if st.comp == nil || lags <= 0 {
 		return nil
 	}
-	rho := st.trunc.ImpliedACF(lags)
-	a := transform.New(st.marg).Attenuation()
-	for k := 1; k < len(rho); k++ {
-		rho[k] *= a
+	return st.comp.impliedACF(lags)
+}
+
+// BlockEngine returns the block engine's precomputed state, shared by every
+// open stream of the same spec content; nil for the other engines.
+func (st *Stream) BlockEngine() *streamblock.Engine {
+	if st.comp == nil {
+		return nil
 	}
-	return rho
+	return st.comp.eng
 }
 
 // Fill produces len(out) consecutive frames.

@@ -171,6 +171,79 @@ func TestStreamBinaryEncoding(t *testing.T) {
 	}
 }
 
+// TestFramesResponseWrites: a one-chunk frames response leaves in a single
+// write, so it carries a Content-Length instead of chunked framing; a
+// multi-chunk response still streams. Both decode bit for bit to the
+// offline frames in every encoding.
+func TestFramesResponseWrites(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	decode := map[string]func([]byte) ([]float64, error){
+		"ndjson": func(b []byte) ([]float64, error) {
+			var out []float64
+			for _, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+				v, err := strconv.ParseFloat(line, 64)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, v)
+			}
+			return out, nil
+		},
+		"binary": func(b []byte) ([]float64, error) {
+			out := make([]float64, len(b)/8)
+			for i := range out {
+				out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+			}
+			return out, nil
+		},
+		"frames": func(b []byte) ([]float64, error) {
+			return NewFrameReader(bytes.NewReader(b)).ReadAll()
+		},
+	}
+	const short, long = 16, 3000
+	for format, dec := range decode {
+		spec := paperSpec(31)
+		want, err := spec.Frames(context.Background(), 0, short+long, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := createStream(t, ts.URL, spec)
+		from := 0
+		for _, n := range []int{short, long} {
+			resp, err := http.Get(fmt.Sprintf("%s/v1/streams/%s/frames?n=%d&format=%s", ts.URL, info.ID, n, format))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunked := len(resp.TransferEncoding) > 0
+			if n == short && (chunked || resp.ContentLength != int64(len(body))) {
+				t.Errorf("%s n=%d: Transfer-Encoding %v, Content-Length %d for a %d-byte body; want one write",
+					format, n, resp.TransferEncoding, resp.ContentLength, len(body))
+			}
+			if n == long && !chunked {
+				t.Errorf("%s n=%d: not streamed (Content-Length %d)", format, n, resp.ContentLength)
+			}
+			got, err := dec(body)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", format, n, err)
+			}
+			if len(got) != n {
+				t.Fatalf("%s n=%d: decoded %d frames", format, n, len(got))
+			}
+			for i, v := range got {
+				if math.Float64bits(v) != math.Float64bits(want[from+i]) {
+					t.Fatalf("%s n=%d: frame %d = %v, want %v", format, n, from+i, v, want[from+i])
+				}
+			}
+			from += n
+		}
+	}
+}
+
 func TestSessionCapAndDelete(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxSessions: 2})
 	a := createStream(t, ts.URL, paperSpec(1))

@@ -280,11 +280,12 @@ func (s *Server) decodeCreate(w http.ResponseWriter, r *http.Request, spec inter
 
 // create admits and opens a session. Admission happens before the
 // expensive open, on a cost estimated from the spec alone, so a doomed
-// request never builds a plan or touches an arena. The open (plan
-// acquisition, shared across sessions through the plan cache) is
-// cancellable by the client; any failure from there on returns the
-// reservation, so a rejected or failed create never leaks engine
-// accounting.
+// request never builds a plan or touches an arena. The open is cancellable
+// by the client; its per-model state (plan, truncation, block engine, LUT,
+// monitor reference) is shared with every open session of the same spec
+// content, so a warm open costs only the seed's arena. Any failure from
+// there on returns the reservation, so a rejected or failed create never
+// leaks engine accounting.
 func (s *Server) create(w http.ResponseWriter, r *http.Request, ss *session, open func(context.Context) (frameStream, error)) {
 	if err := s.adm.reserve(ss.cost); err != nil {
 		s.rejectCreate(w, err)
@@ -407,7 +408,7 @@ func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) {
 	// generated into buf and written straight out through the pooled byte
 	// buffer, so steady-state streaming allocates nothing per chunk on any
 	// encoding.
-	buf := make([]float64, 0, streamChunk)
+	buf := make([]float64, 0, min(n, streamChunk))
 	outp := frameBufPool.Get().(*[]byte)
 	defer frameBufPool.Put(outp)
 	out := *outp
@@ -447,7 +448,10 @@ func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) {
 		if _, err := w.Write(out); err != nil {
 			return
 		}
-		if flusher != nil {
+		// Flush only between chunks: that is where backpressure acts. The
+		// last chunk leaves with the trailer when the handler returns, so
+		// a one-chunk response is a single write with a Content-Length.
+		if flusher != nil && written+c < n {
 			flusher.Flush()
 		}
 		s.metrics.frameEmitSeconds.Observe(time.Since(emitBegin).Seconds())

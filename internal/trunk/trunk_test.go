@@ -230,6 +230,29 @@ func TestTrunkFillZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestTrunkComponentsShareEngine: identical block components are opens of
+// one spec content, so the whole trunk builds one block engine.
+func TestTrunkComponentsShareEngine(t *testing.T) {
+	paper := modelspec.Paper()
+	spec := &modelspec.TrunkSpec{
+		Seed: 3,
+		Components: []modelspec.TrunkComponent{
+			{Count: 16, Spec: modelspec.Spec{ACF: paper.ACF, Marginal: paper.Marginal,
+				Engine: modelspec.EngineBlock}},
+		},
+	}
+	tr := openTrunk(t, spec, Options{})
+	eng := tr.comps[0].BlockEngine()
+	if eng == nil {
+		t.Fatal("block component has no block engine")
+	}
+	for i, st := range tr.comps {
+		if st.BlockEngine() != eng {
+			t.Fatalf("component %d built its own engine", i)
+		}
+	}
+}
+
 func TestTrunkOpenErrors(t *testing.T) {
 	// Invalid specs must fail at Open, and partially-opened components must
 	// be released (covered by the arena gauge staying balanced under -race).
