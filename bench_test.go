@@ -196,14 +196,6 @@ func BenchmarkAblationCompositeVsSingle(b *testing.B) {
 // live in internal/benchsuite so that cmd/bench reports the exact same
 // numbers to BENCH_2.json.
 
-// BenchmarkAblationFlatVsRagged compares path generation through the flat
-// single-allocation plan layout against the seed's ragged [][]float64
-// layout (bit-identical output, pure memory-layout difference).
-func BenchmarkAblationFlatVsRagged(b *testing.B) {
-	b.Run("flat", benchsuite.BenchFlatPlanPath)
-	b.Run("ragged", benchsuite.BenchRaggedPlanPath)
-}
-
 // BenchmarkAblationTruncatedAR compares exact O(n^2) Hosking generation
 // against the truncated-AR(p) fast path at paper-overflow scale
 // (n = 20000, induced ACF error bounded by 0.02).
@@ -227,10 +219,10 @@ func BenchmarkAblationPlanCache(b *testing.B) {
 }
 
 // BenchmarkAblationDHPathEngine walks the Davies-Harte path-generation
-// ladder: the allocating reference, the zero-alloc bit-identical PathInto,
-// the packed real-FFT PathRealInto, and the seeded Batch engine.
+// ladder: the zero-alloc bit-identical PathInto, the packed real-FFT
+// PathRealInto, and the seeded Batch engine (the allocating reference it
+// is pinned to is benchmarked in internal/daviesharte).
 func BenchmarkAblationDHPathEngine(b *testing.B) {
-	b.Run("reference", benchsuite.BenchDHPathReference)
 	b.Run("into", benchsuite.BenchDHPathInto)
 	b.Run("real-into", benchsuite.BenchDHPathRealInto)
 	b.Run("batch", benchsuite.BenchDHBatch)

@@ -7,7 +7,7 @@
 //
 //	synth -i trace.csv -frames 65536 -o synthetic.csv
 //	synth -i trace.csv -gop -frames 65536 -compare-out cmp
-//	synth -i trace.csv -frames 1048576 -fast        # truncated-AR fast path
+//	synth -i trace.csv -frames 1048576 -backend hosking-fast   # truncated-AR fast path
 package main
 
 import (
@@ -44,8 +44,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		out         = fs.String("o", "", "write the synthetic trace here (csv or bin)")
 		cmpOut      = fs.String("compare-out", "", "write <prefix>-{acf,hist,qq}.dat comparison files")
 		acfLags     = fs.Int("acf-lags", 490, "ACF comparison lags")
-		backendName = fs.String("backend", "auto", "background generator: auto, hosking, daviesharte, or hosking-fast")
-		fast        = fs.Bool("fast", false, "use the truncated-AR Hosking fast path (O(p) per step, unbounded horizon); same as -backend hosking-fast")
+		backendName = fs.String("backend", "auto", "background generator: "+strings.Join(core.BackendNames(), ", "))
 		traceOut    = fs.String("trace-out", "", "write pipeline stage spans as NDJSON to this file (- for stderr)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -66,17 +65,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		tracer = obs.NewTracer(tw)
 		ctx = obs.ContextWithTracer(ctx, tracer)
 	}
-	if *fast {
-		switch strings.ToLower(*backendName) {
-		case "", "auto", "hosking-fast", "fast":
-			*backendName = "hosking-fast"
-		default:
-			return fmt.Errorf("-fast conflicts with -backend %s", *backendName)
-		}
-	}
-	backend, err := parseBackend(*backendName)
+	backend, err := core.ParseBackend(*backendName)
 	if err != nil {
-		return err
+		return fmt.Errorf("-backend: %w", err)
 	}
 	if *in == "" {
 		return fmt.Errorf("missing -i input trace")
@@ -171,20 +162,6 @@ func writeComparisons(prefix string, stderr io.Writer, emp, syn *trace.Trace, ea
 			fmt.Fprintf(f, "%g\t%g\n", qe[i], qs[i])
 		}
 	})
-}
-
-func parseBackend(name string) (core.Backend, error) {
-	switch strings.ToLower(name) {
-	case "", "auto":
-		return core.BackendAuto, nil
-	case "hosking":
-		return core.BackendHosking, nil
-	case "daviesharte", "davies-harte":
-		return core.BackendDaviesHarte, nil
-	case "hosking-fast", "fast":
-		return core.BackendHoskingFast, nil
-	}
-	return 0, fmt.Errorf("unknown -backend %q (want auto, hosking, daviesharte, or hosking-fast)", name)
 }
 
 func readTrace(path string) (*trace.Trace, error) {

@@ -81,3 +81,21 @@ func TestRunErrors(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// -backend reads core's generator table: an unknown name is rejected with
+// the table's names, before any input is read. -fast is gone; -backend
+// hosking-fast is the one spelling of the truncated-AR path.
+func TestRunBackendFlag(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-backend", "bogus", "-i", "/missing.bin"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "streamblock") {
+		t.Errorf("unknown backend: err = %v, want the table's names", err)
+	}
+	if err := run([]string{"-fast", "-i", "/missing.bin"}, &stdout, &stderr); err == nil ||
+		!strings.Contains(err.Error(), "not defined") {
+		t.Errorf("-fast: err = %v, want an undefined-flag error", err)
+	}
+	if !strings.Contains(stderr.String(), "auto, hosking, hosking-fast, daviesharte, streamblock") {
+		t.Errorf("usage does not list the generator table:\n%s", stderr.String())
+	}
+}

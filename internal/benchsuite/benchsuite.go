@@ -33,14 +33,12 @@ type Bench struct {
 func Suite() []Bench {
 	return []Bench{
 		{"FlatPlanPath/n=4096", BenchFlatPlanPath},
-		{"RaggedPlanPath/n=4096", BenchRaggedPlanPath},
 		{"ExactPath/n=20000", BenchExactPath20000},
 		{"TruncatedPath/n=20000", BenchTruncatedPath20000},
 		{"NewPlanSerial/n=12288", BenchNewPlanSerial},
 		{"NewPlanParallel/n=12288", BenchNewPlanParallel},
 		{"PlanCacheCold/n=1024", BenchPlanCacheCold},
 		{"PlanCacheWarm/n=1024", BenchPlanCacheWarm},
-		{"DHPathReference/n=4096", BenchDHPathReference},
 		{"DHPathInto/n=4096", BenchDHPathInto},
 		{"DHPathRealInto/n=4096", BenchDHPathRealInto},
 		{"DHBatch/n=4096,b=8", BenchDHBatch},
@@ -84,10 +82,10 @@ func Suite() []Bench {
 var benchModel = acf.FGN{H: 0.8}
 
 const (
-	flatRaggedLen = 4096
-	fastPathLen   = 20000
-	parallelLen   = 12288
-	cacheLen      = 1024
+	flatLen     = 4096
+	fastPathLen = 20000
+	parallelLen = 12288
+	cacheLen    = 1024
 
 	// fastACFTol is the enforced absolute ACF-error budget for the
 	// truncated-AR fixture; Truncate fails (and the benchmark aborts) if
@@ -100,10 +98,6 @@ var (
 	flatPlan *hosking.Plan
 	flatErr  error
 
-	raggedOnce sync.Once
-	raggedPlan *hosking.RaggedPlan
-	raggedErr  error
-
 	bigOnce   sync.Once
 	bigPlan   *hosking.Plan
 	truncated *hosking.Truncated
@@ -111,19 +105,11 @@ var (
 )
 
 func getFlatPlan(b *testing.B) *hosking.Plan {
-	flatOnce.Do(func() { flatPlan, flatErr = hosking.NewPlan(benchModel, flatRaggedLen) })
+	flatOnce.Do(func() { flatPlan, flatErr = hosking.NewPlan(benchModel, flatLen) })
 	if flatErr != nil {
 		b.Fatal(flatErr)
 	}
 	return flatPlan
-}
-
-func getRaggedPlan(b *testing.B) *hosking.RaggedPlan {
-	raggedOnce.Do(func() { raggedPlan, raggedErr = hosking.NewRaggedPlan(benchModel, flatRaggedLen) })
-	if raggedErr != nil {
-		b.Fatal(raggedErr)
-	}
-	return raggedPlan
 }
 
 func getBigPlan(b *testing.B) (*hosking.Plan, *hosking.Truncated) {
@@ -151,21 +137,7 @@ func getBigPlan(b *testing.B) (*hosking.Plan, *hosking.Truncated) {
 func BenchFlatPlanPath(b *testing.B) {
 	plan := getFlatPlan(b)
 	r := rng.New(1)
-	out := make([]float64, flatRaggedLen)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan.Generate(r, out)
-	}
-}
-
-// BenchRaggedPlanPath generates the same paths through the seed's ragged
-// [][]float64 layout (the pre-refactor baseline, kept as a reference
-// implementation). Bit-identical output; the difference is pure memory
-// layout.
-func BenchRaggedPlanPath(b *testing.B) {
-	plan := getRaggedPlan(b)
-	r := rng.New(1)
-	out := make([]float64, flatRaggedLen)
+	out := make([]float64, flatLen)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plan.Generate(r, out)

@@ -12,7 +12,7 @@ import (
 )
 
 // Path-engine ablations: the Davies-Harte batched zero-alloc engine
-// (PathReference -> PathInto -> PathRealInto/Batch), the FFT twiddle-table
+// (PathInto -> PathRealInto/Batch), the FFT twiddle-table
 // cache, the packed real-input FFT, and the table-based marginal transform.
 
 const (
@@ -50,17 +50,6 @@ func getLUT(b *testing.B) (transform.T, *transform.LUT) {
 		b.Fatal(lutErr)
 	}
 	return lutTransform, lutTable
-}
-
-// BenchDHPathReference is the seed Davies-Harte implementation: per-call
-// spectrum and output allocations, on-the-fly-twiddle reference FFT.
-func BenchDHPathReference(b *testing.B) {
-	plan := getDHPlan(b)
-	r := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan.PathReference(r)
-	}
 }
 
 // BenchDHPathInto is the zero-alloc bit-identical path: reused scratch,

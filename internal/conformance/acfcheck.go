@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"vbrsim/internal/acf"
+	"vbrsim/internal/core"
 	"vbrsim/internal/hosking"
 	"vbrsim/internal/transform"
 )
@@ -80,8 +81,8 @@ func bandViolations(st backendStats, target func(k int) float64, knee int, p ban
 // correct one 0.000 on both.
 type acfBackendCheck struct {
 	// backends overrides the generator list (tests inject perturbed
-	// kernels); nil means coreBackends().
-	backends []genBackend
+	// kernels); nil means core's whole generator table.
+	backends []core.Generator
 }
 
 func (acfBackendCheck) Name() string   { return "acf-backend-bands" }
@@ -99,7 +100,7 @@ func (c acfBackendCheck) Run(ctx context.Context, cfg Config) Result {
 	}
 	backends := c.backends
 	if backends == nil {
-		backends = coreBackends()
+		backends = core.Generators()
 	}
 	bands := bandParams{z: 3, slack: 0.01}
 	for _, b := range backends {
@@ -108,10 +109,10 @@ func (c acfBackendCheck) Run(ctx context.Context, cfg Config) Result {
 			return res.fail(err)
 		}
 		bs := bandViolations(st, comp.At, comp.Knee, bands)
-		res.gate(b.name+"_srd_outside_band_frac", bs.srdFrac, "<=", 0.20)
-		res.gate(b.name+"_lrd_outside_band_frac", bs.lrdFrac, "<=", 0.20)
-		res.gate(b.name+"_max_excess_beyond_band", bs.maxExcess, "<=", 0.05)
-		res.note("%s: max raw deviation %.4f (not gated; sampling scatter under LRD)", b.name, bs.maxDev)
+		res.gate(b.Name+"_srd_outside_band_frac", bs.srdFrac, "<=", 0.20)
+		res.gate(b.Name+"_lrd_outside_band_frac", bs.lrdFrac, "<=", 0.20)
+		res.gate(b.Name+"_max_excess_beyond_band", bs.maxExcess, "<=", 0.05)
+		res.note("%s: max raw deviation %.4f (not gated; sampling scatter under LRD)", b.Name, bs.maxDev)
 	}
 	res.note("bands: target within mean ± %.0f·SE + %.3f over %d replications of n=%d, knee at lag %d",
 		bands.z, bands.slack, reps, n, comp.Knee)
@@ -168,8 +169,8 @@ func (c acfCompensatedCheck) Run(ctx context.Context, cfg Config) Result {
 	if err != nil {
 		return res.fail(err)
 	}
-	gen := coreBackends()[0] // exact Hosking: isolates the transform path
-	st, err := measureBackend(ctx, gen, bg, &tr, target.Mean(), n, reps, maxLag, cfg.Seed+21, cfg.Workers)
+	// Exact Hosking isolates the transform path.
+	st, err := measureBackend(ctx, generator(core.BackendHosking), bg, &tr, target.Mean(), n, reps, maxLag, cfg.Seed+21, cfg.Workers)
 	if err != nil {
 		return res.fail(err)
 	}

@@ -26,15 +26,11 @@ import (
 
 	"vbrsim/internal/acf"
 	"vbrsim/internal/core"
-	"vbrsim/internal/daviesharte"
 	"vbrsim/internal/dist"
 	"vbrsim/internal/fft"
-	"vbrsim/internal/hosking"
 	"vbrsim/internal/modelspec"
 	"vbrsim/internal/par"
-	"vbrsim/internal/rng"
 	"vbrsim/internal/stats"
-	"vbrsim/internal/streamblock"
 	"vbrsim/internal/transform"
 )
 
@@ -231,159 +227,13 @@ func paperModel() (acf.Composite, transform.T, dist.Distribution, error) {
 	return comp, tr, tr.Target, nil
 }
 
-// genBackend is one background-path generator under test. All three
-// produce zero-mean unit-variance Gaussian paths targeting the same ACF;
-// they differ in algorithm (and therefore in failure modes).
-type genBackend struct {
-	name string
-	// path allocates one path per call; it is the golden-pinned entry
-	// point (golden_test.go fingerprints it) and the fallback for injected
-	// test backends that only define it.
-	path func(ctx context.Context, model acf.Model, n int, seed uint64) ([]float64, error)
-	// prepare, when non-nil, builds the plan once and returns a generator
-	// measureBackend drives across replications. The generator must be
-	// safe for concurrent calls with distinct arenas.
-	prepare func(ctx context.Context, model acf.Model, n int) (pathGen, error)
-}
-
-// pathGen fills dst with the path derived from one replication seed, using
-// the caller-owned arena for scratch.
-type pathGen func(dst []float64, s *genArena, seed uint64) error
-
-// genArena is the per-worker scratch of measureBackend's replication loop:
-// a reseedable generator, backend path scratch, FFT scratch for the sample
-// autocovariance, the path/foreground buffers, and (for the streamblock
-// backend) a per-worker block stream reseeded between replications so the
-// steady state stays allocation-free.
-type genArena struct {
-	src  rng.Source
-	dh   daviesharte.Scratch
-	fft  fft.Scratch
-	x, y []float64
-	blk  *streamblock.Stream
-}
-
-// streamBlockTotal sizes the conformance view of the overlapped-block
-// stream engine. It is deliberately small (block length 2048 - order, far
-// below the serving DefaultTotal) so the measurement paths cross several
-// block boundaries and the stitch correction — the engine's only
-// approximation — is what actually gets gated.
-const streamBlockTotal = 2048
-
-// streamBlockEngine builds the conformance-scale block engine for model.
-func streamBlockEngine(ctx context.Context, model acf.Model) (*streamblock.Engine, error) {
-	trunc, err := core.TruncatedPlanForCtx(ctx, model, 0, 0)
+// generator looks a concrete backend up in core's generator table.
+func generator(b core.Backend) core.Generator {
+	g, err := b.Generator(0)
 	if err != nil {
-		return nil, err
+		panic(err) // every caller names a table entry
 	}
-	return streamblock.EngineFor(model, trunc, streamblock.Config{Total: streamBlockTotal})
-}
-
-// coreBackends lists the generators that target the composite ACF exactly:
-// the exact Hosking sampler, its truncated-AR fast path (the historical
-// serving default), the Davies-Harte circulant-embedding sampler, and the
-// overlapped-block streaming engine built on it. The prepare
-// hooks reuse one plan for a whole measurement and generate through the
-// zero-allocation engines; the path closures keep the historical one-shot
-// layout the golden traces pin.
-func coreBackends() []genBackend {
-	return []genBackend{
-		{
-			name: "hosking",
-			path: func(ctx context.Context, model acf.Model, n int, seed uint64) ([]float64, error) {
-				plan, err := hosking.CachedPlanCtx(ctx, model, n)
-				if err != nil {
-					return nil, err
-				}
-				return plan.Path(rng.New(seed), n), nil
-			},
-			prepare: func(ctx context.Context, model acf.Model, n int) (pathGen, error) {
-				plan, err := hosking.CachedPlanCtx(ctx, model, n)
-				if err != nil {
-					return nil, err
-				}
-				return func(dst []float64, s *genArena, seed uint64) error {
-					s.src.Reseed(seed)
-					plan.Generate(&s.src, dst)
-					return nil
-				}, nil
-			},
-		},
-		{
-			name: "hosking-fast",
-			path: func(ctx context.Context, model acf.Model, n int, seed uint64) ([]float64, error) {
-				trunc, err := core.TruncatedPlanForCtx(ctx, model, 0, 0)
-				if err != nil {
-					return nil, err
-				}
-				return trunc.Path(rng.New(seed), n), nil
-			},
-			prepare: func(ctx context.Context, model acf.Model, n int) (pathGen, error) {
-				trunc, err := core.TruncatedPlanForCtx(ctx, model, 0, 0)
-				if err != nil {
-					return nil, err
-				}
-				return func(dst []float64, s *genArena, seed uint64) error {
-					s.src.Reseed(seed)
-					trunc.Generate(&s.src, dst)
-					return nil
-				}, nil
-			},
-		},
-		{
-			name: "daviesharte",
-			path: func(ctx context.Context, model acf.Model, n int, seed uint64) ([]float64, error) {
-				plan, err := daviesharte.NewPlan(model, n, daviesharte.Options{AllowApprox: true})
-				if err != nil {
-					return nil, err
-				}
-				return plan.Path(rng.New(seed)), nil
-			},
-			prepare: func(_ context.Context, model acf.Model, n int) (pathGen, error) {
-				plan, err := daviesharte.NewPlan(model, n, daviesharte.Options{AllowApprox: true})
-				if err != nil {
-					return nil, err
-				}
-				return func(dst []float64, s *genArena, seed uint64) error {
-					s.src.Reseed(seed)
-					plan.PathRealInto(dst, &s.dh, &s.src)
-					return nil
-				}, nil
-			},
-		},
-		{
-			name: "streamblock",
-			path: func(ctx context.Context, model acf.Model, n int, seed uint64) ([]float64, error) {
-				eng, err := streamBlockEngine(ctx, model)
-				if err != nil {
-					return nil, err
-				}
-				st := eng.NewStream(seed)
-				defer st.Close()
-				out := make([]float64, n)
-				st.Fill(out)
-				return out, nil
-			},
-			prepare: func(ctx context.Context, model acf.Model, _ int) (pathGen, error) {
-				eng, err := streamBlockEngine(ctx, model)
-				if err != nil {
-					return nil, err
-				}
-				return func(dst []float64, s *genArena, seed uint64) error {
-					// One stream per arena, reseeded per replication: block
-					// refills reuse the arena buffers, so replications after
-					// the first allocate nothing.
-					if s.blk == nil || s.blk.Engine() != eng {
-						s.blk = eng.NewStream(seed)
-					} else {
-						s.blk.Reseed(seed)
-					}
-					s.blk.Fill(dst)
-					return nil
-				}, nil
-			},
-		},
-	}
+	return g
 }
 
 // backendStats are replication-averaged sample statistics of one backend's
@@ -418,38 +268,33 @@ type backendStats struct {
 // replication index offset (never a worker index), per-replication curves
 // and moments are deposited into slabs by replication index, and the
 // across-replication sums run sequentially in replication order below.
-// Backends without a prepare hook (test-injected kernels) run their
-// allocating path closure on a single worker.
-func measureBackend(ctx context.Context, b genBackend, model acf.Model, tr *transform.T, processMean float64, n, reps, maxLag int, seed uint64, workers int) (backendStats, error) {
+func measureBackend(ctx context.Context, b core.Generator, model acf.Model, tr *transform.T, processMean float64, n, reps, maxLag int, seed uint64, workers int) (backendStats, error) {
 	st := backendStats{
-		name:    b.name,
+		name:    b.Name,
 		acfMean: make([]float64, maxLag+1),
 		acfSE:   make([]float64, maxLag+1),
 	}
-	var gen pathGen
-	if b.prepare != nil {
-		g, err := b.prepare(ctx, model, n)
-		if err != nil {
-			return st, fmt.Errorf("%s: %w", b.name, err)
-		}
-		gen = g
-	} else {
-		workers = 1
-		gen = func(dst []float64, _ *genArena, seed uint64) error {
-			x, err := b.path(ctx, model, n, seed)
-			if err != nil {
-				return err
-			}
-			copy(dst, x)
-			return nil
-		}
+	fill, err := b.Prepare(ctx, model, n)
+	if err != nil {
+		return st, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	lagN := maxLag + 1
 	curves := make([]float64, reps*lagN)
 	moments := make([]float64, 2*reps)
 	w := par.Workers(workers, reps)
-	arenas := make([]genArena, w)
-	err := par.ForCtx(ctx, w, reps, func(wk, rep int) error {
+	// Per-worker scratch: the generator's arena, FFT scratch for the sample
+	// autocovariance, and the path/foreground buffers.
+	arenas := make([]struct {
+		gen  core.Arena
+		fft  fft.Scratch
+		x, y []float64
+	}, w)
+	defer func() {
+		for i := range arenas {
+			arenas[i].gen.Close()
+		}
+	}()
+	err = par.ForCtx(ctx, w, reps, func(wk, rep int) error {
 		ar := &arenas[wk]
 		if ar.x == nil {
 			ar.x = make([]float64, n)
@@ -457,9 +302,7 @@ func measureBackend(ctx context.Context, b genBackend, model acf.Model, tr *tran
 				ar.y = make([]float64, n)
 			}
 		}
-		if err := gen(ar.x, ar, seed+uint64(rep)); err != nil {
-			return fmt.Errorf("%s: %w", b.name, err)
-		}
+		fill(ar.x, &ar.gen, seed+uint64(rep))
 		curve := curves[rep*lagN : (rep+1)*lagN]
 		x := ar.x
 		if tr != nil {

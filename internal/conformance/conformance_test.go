@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vbrsim/internal/acf"
+	"vbrsim/internal/core"
 	"vbrsim/internal/rng"
 )
 
@@ -97,25 +98,26 @@ func metricFingerprint(t *testing.T, rep Report) string {
 // ar1Backend is a deliberately broken kernel: the composite ACF truncated
 // to AR order 1. Below the knee it is nearly indistinguishable from the
 // target (the SRD head is exponential with the same lag-1 rate), so only a
-// check that actually probes the LRD regime can reject it.
-func ar1Backend() genBackend {
-	return genBackend{name: "ar1-perturbed", path: func(_ context.Context, model acf.Model, n int, seed uint64) ([]float64, error) {
+// check that actually probes the LRD regime can reject it. It is injected
+// as a generator-table entry, exactly as core declares the real ones.
+func ar1Backend() core.Generator {
+	return core.Generator{Name: "ar1-perturbed", Prepare: func(_ context.Context, model acf.Model, _ int) (core.Fill, error) {
 		r1 := model.At(1)
 		c := math.Sqrt(1 - r1*r1)
-		r := rng.New(seed)
-		x := make([]float64, n)
-		x[0] = r.Norm()
-		for i := 1; i < n; i++ {
-			x[i] = r1*x[i-1] + c*r.Norm()
-		}
-		return x, nil
+		return func(x []float64, _ *core.Arena, seed uint64) {
+			r := rng.New(seed)
+			x[0] = r.Norm()
+			for i := 1; i < len(x); i++ {
+				x[i] = r1*x[i-1] + c*r.Norm()
+			}
+		}, nil
 	}}
 }
 
 // TestPerturbedKernelFailsACFCheck is the suite's sensitivity proof: an
 // AR(1)-truncated kernel must fail the ACF band check.
 func TestPerturbedKernelFailsACFCheck(t *testing.T) {
-	check := acfBackendCheck{backends: []genBackend{ar1Backend()}}
+	check := acfBackendCheck{backends: []core.Generator{ar1Backend()}}
 	res := check.Run(context.Background(), Config{Seed: DefaultSeed})
 	if res.Err != "" {
 		t.Fatalf("check errored instead of gating: %s", res.Err)
@@ -143,8 +145,7 @@ func TestPerturbedKernelFailsACFCheck(t *testing.T) {
 // TestPerturbedKernelFailsEquivalenceCheck: the same broken kernel must
 // disagree with exact Hosking in the cross-backend comparison.
 func TestPerturbedKernelFailsEquivalenceCheck(t *testing.T) {
-	bks := coreBackends()
-	check := equivalenceCheck{backends: []genBackend{bks[0], ar1Backend()}}
+	check := equivalenceCheck{backends: []core.Generator{generator(core.BackendHosking), ar1Backend()}}
 	res := check.Run(context.Background(), Config{Seed: DefaultSeed})
 	if res.Err != "" {
 		t.Fatalf("check errored instead of gating: %s", res.Err)
@@ -210,7 +211,7 @@ func TestMeasureBackendWorkerInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, b := range coreBackends() {
+	for _, b := range core.Generators() {
 		one, err := measureBackend(ctx, b, comp, nil, 0, 1024, 12, 100, 77, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -219,10 +220,10 @@ func TestMeasureBackendWorkerInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameStats(t, b.name, one, eight)
+		requireSameStats(t, b.Name, one, eight)
 	}
 	// Foreground path (transform applied before measuring) too.
-	b := coreBackends()[0]
+	b := generator(core.BackendHosking)
 	one, err := measureBackend(ctx, b, comp, &tr, target.Mean(), 1024, 8, 100, 78, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +232,7 @@ func TestMeasureBackendWorkerInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameStats(t, b.name+"-foreground", one, eight)
+	requireSameStats(t, b.Name+"-foreground", one, eight)
 }
 
 func requireSameStats(t *testing.T, name string, a, b backendStats) {

@@ -29,8 +29,8 @@ import (
 // an ACF excess of 0.15+ against every correct backend.
 type equivalenceCheck struct {
 	// backends overrides the generator list (tests inject perturbed
-	// kernels); nil means coreBackends().
-	backends []genBackend
+	// kernels); nil means core's whole generator table.
+	backends []core.Generator
 }
 
 func (equivalenceCheck) Name() string   { return "cross-backend-equivalence" }
@@ -58,7 +58,7 @@ func (c equivalenceCheck) Run(ctx context.Context, cfg Config) Result {
 
 	backends := c.backends
 	if backends == nil {
-		backends = coreBackends()
+		backends = core.Generators()
 	}
 	all := make([]backendStats, len(backends))
 	for i, b := range backends {
@@ -168,15 +168,14 @@ func (c fastBoundCheck) Run(ctx context.Context, cfg Config) Result {
 	res.gate("plan_acf_error_bound", bound, "<=", 0.35)
 	res.note("truncation order %d, plan-level ACF error %.3f over the full %d-lag window", trunc.Order(), bound, trunc.Plan().Len())
 
-	bks := coreBackends()
 	// Same seeds for both backends: the paths differ (different recursion
 	// past the truncation order) but the innovation streams match, which
 	// cancels most sampling noise out of the comparison.
-	exact, err := measureBackend(ctx, bks[0], comp, nil, 0, n, reps, maxLag, cfg.Seed+60, cfg.Workers)
+	exact, err := measureBackend(ctx, generator(core.BackendHosking), comp, nil, 0, n, reps, maxLag, cfg.Seed+60, cfg.Workers)
 	if err != nil {
 		return res.fail(err)
 	}
-	fast, err := measureBackend(ctx, bks[1], comp, nil, 0, n, reps, maxLag, cfg.Seed+60, cfg.Workers)
+	fast, err := measureBackend(ctx, generator(core.BackendHoskingFast), comp, nil, 0, n, reps, maxLag, cfg.Seed+60, cfg.Workers)
 	if err != nil {
 		return res.fail(err)
 	}

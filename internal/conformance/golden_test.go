@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"testing"
 
+	"vbrsim/internal/core"
 	"vbrsim/internal/modelspec"
 	"vbrsim/internal/trunk"
 )
@@ -26,23 +27,24 @@ const (
 )
 
 // goldenSources enumerates every deterministic frame producer that gets a
-// golden trace: the background backends pushed through the marginal
-// transform, the serving paths (modelspec.Stream via Spec.Frames — exactly
-// what trafficd emits) on every registered engine, and a mixed-engine trunk
-// whose components inherit a shared marginal. A registered engine without
-// a golden spec is an error, so adding an engine means adding its trace.
+// golden trace: every entry of core's generator table pushed through the
+// marginal transform (an entry without a golden file fails), the serving
+// paths (modelspec.Stream via Spec.Frames — exactly what trafficd emits) on
+// every registered engine, and a mixed-engine trunk whose components
+// inherit a shared marginal. A registered engine without a golden spec is
+// an error, so adding an engine means adding its trace.
 func goldenSources(ctx context.Context) (map[string][]float64, error) {
 	comp, tr, _, err := paperModel()
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]float64)
-	for _, b := range coreBackends() {
-		bg, err := b.path(ctx, comp, goldenFrames, goldenSeed)
+	for _, b := range core.Generators() {
+		bg, err := b.Path(ctx, comp, goldenFrames, goldenSeed)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.name, err)
+			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
-		out[b.name] = tr.ApplySlice(bg)
+		out[b.Name] = tr.ApplySlice(bg)
 	}
 	paper := modelspec.Paper()
 	paper.Seed = goldenSeed

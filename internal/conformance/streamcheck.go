@@ -48,14 +48,12 @@ func (c streamBatchCheck) Run(ctx context.Context, cfg Config) Result {
 		return res.fail(err)
 	}
 
-	bks := coreBackends()
-	batch, stream := bks[2], bks[3] // daviesharte, streamblock
 	// Distinct seed blocks: agreement must come from the law, not draws.
-	bst, err := measureBackend(ctx, batch, comp, nil, 0, n, reps, maxLag, cfg.Seed+70, cfg.Workers)
+	bst, err := measureBackend(ctx, generator(core.BackendDaviesHarte), comp, nil, 0, n, reps, maxLag, cfg.Seed+70, cfg.Workers)
 	if err != nil {
 		return res.fail(err)
 	}
-	sst, err := measureBackend(ctx, stream, comp, nil, 0, n, reps, maxLag, cfg.Seed+71, cfg.Workers)
+	sst, err := measureBackend(ctx, generator(core.BackendStreamBlock), comp, nil, 0, n, reps, maxLag, cfg.Seed+71, cfg.Workers)
 	if err != nil {
 		return res.fail(err)
 	}
@@ -102,6 +100,6 @@ func (c streamBatchCheck) Run(ctx context.Context, cfg Config) Result {
 	res.note("LRD tail over lags %d..%d: truncated-AR analytic error %.4f, block-stream measured excess %.4f",
 		order+1, maxLag, truncTailErr, streamTailExcess)
 	res.note("stream paths cross block boundaries every %d frames (engine total %d, order %d)",
-		streamBlockTotal-order, streamBlockTotal, order)
+		core.StreamBlockTotal-order, core.StreamBlockTotal, order)
 	return res
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"vbrsim/internal/acf"
-	"vbrsim/internal/daviesharte"
 	"vbrsim/internal/dist"
 	"vbrsim/internal/hosking"
 	"vbrsim/internal/hurst"
@@ -33,25 +32,6 @@ import (
 	"vbrsim/internal/stats"
 	"vbrsim/internal/trace"
 	"vbrsim/internal/transform"
-)
-
-// Backend selects the Gaussian-process generator.
-type Backend int
-
-// Generation backends.
-const (
-	// BackendAuto uses Hosking up to moderate lengths and Davies-Harte
-	// beyond, trading exactness guarantees for O(n log n) cost.
-	BackendAuto Backend = iota
-	// BackendHosking forces the exact O(n^2) Durbin-Levinson sampler.
-	BackendHosking
-	// BackendDaviesHarte forces the circulant-embedding sampler.
-	BackendDaviesHarte
-	// BackendHoskingFast uses the truncated-AR(p) Hosking fast path: exact
-	// conditional sampling up to the truncation order, frozen O(p) AR steps
-	// beyond it, any length. Falls back to the exact plan when the partial
-	// correlations have not decayed at the plan length.
-	BackendHoskingFast
 )
 
 // autoHoskingLimit is the path length above which BackendAuto switches from
@@ -304,50 +284,21 @@ func truncPlanLen(n int) int {
 
 // Generate synthesizes n frames of foreground traffic.
 func (m *Model) Generate(n int, seed uint64, backend Backend) ([]float64, error) {
-	x, err := generateBackground(m.Background, n, seed, backend)
+	x, err := backgroundPath(m.Background, n, seed, backend)
 	if err != nil {
 		return nil, err
 	}
 	return m.Transform.ApplySlice(x), nil
 }
 
-// generateBackground produces a zero-mean unit-variance Gaussian path with
-// the given ACF using the selected backend.
-func generateBackground(model acf.Model, n int, seed uint64, backend Backend) ([]float64, error) {
-	useHosking := backend == BackendHosking ||
-		(backend == BackendAuto && n <= autoHoskingLimit)
-	if useHosking {
-		plan, err := hosking.CachedPlan(model, n)
-		if err != nil {
-			return nil, err
-		}
-		return plan.Path(rng.New(seed), n), nil
-	}
-	if backend == BackendHoskingFast {
-		planLen := truncPlanLen(n)
-		plan, err := hosking.CachedPlan(model, planLen)
-		if err != nil {
-			return nil, err
-		}
-		if tr, terr := plan.Truncate(hosking.TruncateOptions{}); terr == nil {
-			return tr.Path(rng.New(seed), n), nil
-		}
-		// Tail not decayed within the plan: fall back to exact generation,
-		// which requires the plan to cover the whole path.
-		if n <= planLen {
-			return plan.Path(rng.New(seed), n), nil
-		}
-		full, err := hosking.CachedPlan(model, n)
-		if err != nil {
-			return nil, err
-		}
-		return full.Path(rng.New(seed), n), nil
-	}
-	plan, err := daviesharte.NewPlan(model, n, daviesharte.Options{AllowApprox: true})
+// backgroundPath draws one zero-mean unit-variance Gaussian path with the
+// given ACF through the backend's generator.
+func backgroundPath(model acf.Model, n int, seed uint64, backend Backend) ([]float64, error) {
+	g, err := backend.Generator(n)
 	if err != nil {
 		return nil, err
 	}
-	return plan.Path(rng.New(seed)), nil
+	return g.Path(context.Background(), model, n, seed)
 }
 
 // ---------------------------------------------------------------------------
@@ -447,7 +398,7 @@ func (g *GOPModel) transformFor(ft trace.FrameType) transform.T {
 // Generate synthesizes a typed trace of n frames: one background path X,
 // foreground Y_k = h_{type(k)}(X_k) following the GOP pattern.
 func (g *GOPModel) Generate(n int, seed uint64, backend Backend) (*trace.Trace, error) {
-	x, err := generateBackground(acf.Clamped{Base: g.Background}, n, seed, backend)
+	x, err := backgroundPath(acf.Clamped{Base: g.Background}, n, seed, backend)
 	if err != nil {
 		return nil, err
 	}

@@ -271,30 +271,3 @@ func (p *Plan) Batch(dst [][]float64, seeds []uint64, scratch []*Scratch) error 
 	})
 	return nil
 }
-
-// PathReference is the seed implementation of Path — per-call allocations and
-// the on-the-fly-twiddle reference FFT. It is retained as the ablation
-// baseline for the bench suite and as an independent oracle for PathInto's
-// bit-identity test.
-func (p *Plan) PathReference(r *rng.Source) []float64 {
-	m := p.m
-	a := make([]complex128, m)
-	// Hermitian-symmetric Gaussian spectrum.
-	a[0] = complex(p.sqrtLambda[0]*r.Norm(), 0)
-	a[m/2] = complex(p.sqrtLambda[m/2]*r.Norm(), 0)
-	invSqrt2 := 1 / math.Sqrt2
-	for k := 1; k < m/2; k++ {
-		re := p.sqrtLambda[k] * invSqrt2 * r.Norm()
-		im := p.sqrtLambda[k] * invSqrt2 * r.Norm()
-		a[k] = complex(re, im)
-		a[m-k] = complex(re, -im)
-	}
-	if err := fft.ForwardReference(a); err != nil {
-		panic("daviesharte: internal FFT error: " + err.Error())
-	}
-	out := make([]float64, p.n)
-	for i := range out {
-		out[i] = real(a[i])
-	}
-	return out
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vbrsim/internal/acf"
+	"vbrsim/internal/fft"
 	"vbrsim/internal/rng"
 )
 
@@ -150,5 +151,65 @@ func TestPathEngineZeroAlloc(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("single-worker Batch allocates %v/op at steady state, want 0", a)
+	}
+}
+
+// PathReference is the seed implementation of Path — per-call allocations and
+// the on-the-fly-twiddle reference FFT. It is the independent oracle for
+// PathInto's bit-identity test and the baseline of BenchmarkPathVsReference;
+// it lives in a test file, so no production build carries it.
+func (p *Plan) PathReference(r *rng.Source) []float64 {
+	m := p.m
+	a := make([]complex128, m)
+	// Hermitian-symmetric Gaussian spectrum.
+	a[0] = complex(p.sqrtLambda[0]*r.Norm(), 0)
+	a[m/2] = complex(p.sqrtLambda[m/2]*r.Norm(), 0)
+	invSqrt2 := 1 / math.Sqrt2
+	for k := 1; k < m/2; k++ {
+		re := p.sqrtLambda[k] * invSqrt2 * r.Norm()
+		im := p.sqrtLambda[k] * invSqrt2 * r.Norm()
+		a[k] = complex(re, im)
+		a[m-k] = complex(re, -im)
+	}
+	if err := fft.ForwardReference(a); err != nil {
+		panic("daviesharte: internal FFT error: " + err.Error())
+	}
+	out := make([]float64, p.n)
+	for i := range out {
+		out[i] = real(a[i])
+	}
+	return out
+}
+
+// BenchmarkPathVsReference walks the path ladder from the allocating
+// reference to the zero-alloc kernels it pins:
+//
+//	go test ./internal/daviesharte -run '^$' -bench PathVsReference
+func BenchmarkPathVsReference(b *testing.B) {
+	const n = 4096
+	p, err := NewPlan(acf.FGN{H: 0.8}, n, Options{AllowApprox: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("reference", func(b *testing.B) {
+		r := rng.New(1)
+		for i := 0; i < b.N; i++ {
+			p.PathReference(r)
+		}
+	})
+	var s Scratch
+	out := make([]float64, n)
+	for _, bc := range []struct {
+		name string
+		path func([]float64, *Scratch, *rng.Source)
+	}{{"into", p.PathInto}, {"real-into", p.PathRealInto}} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := rng.New(1)
+			bc.path(out, &s, r) // warm: scratch grows once, then 0 B/op
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bc.path(out, &s, r)
+			}
+		})
 	}
 }

@@ -1,13 +1,14 @@
 // Reference implementation of the pre-flat ragged plan layout. It exists so
 // the flat-layout plan can be checked bit-for-bit against the historical
-// recursion, and so the FlatVsRagged ablation benchmark has a faithful
-// baseline to measure against. It is not used on any production path.
+// recursion, and so BenchmarkFlatVsRagged has a faithful baseline to
+// measure against. It lives in a test file: no production build carries it.
 package hosking
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"testing"
 
 	"vbrsim/internal/acf"
 	"vbrsim/internal/rng"
@@ -128,4 +129,34 @@ func (p *RaggedPlan) Path(r *rng.Source, n int) []float64 {
 	out := make([]float64, n)
 	p.Generate(r, out)
 	return out
+}
+
+// BenchmarkFlatVsRagged compares path generation through the flat
+// single-allocation plan layout against the ragged [][]float64 reference
+// (bit-identical output, pure memory-layout difference):
+//
+//	go test ./internal/hosking -run '^$' -bench FlatVsRagged
+func BenchmarkFlatVsRagged(b *testing.B) {
+	const n = 4096
+	model := acf.FGN{H: 0.8}
+	flat, err := NewPlan(model, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ragged, err := NewRaggedPlan(model, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name     string
+		generate func(*rng.Source, []float64)
+	}{{"flat", flat.Generate}, {"ragged", ragged.Generate}} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := rng.New(1)
+			out := make([]float64, n)
+			for i := 0; i < b.N; i++ {
+				bc.generate(r, out)
+			}
+		})
+	}
 }

@@ -20,6 +20,17 @@ go build ./...
 echo "== go vet"
 go vet ./...
 
+echo "== oracles stay in tests"
+# Reference implementations kept only to pin fast kernels (hosking's
+# RaggedPlan, daviesharte's PathReference) live in _test.go files, so no
+# production build carries them.
+oracles=$(grep -rlE 'RaggedPlan|PathReference' internal cmd | grep -v '_test\.go$' || true)
+if [ -n "$oracles" ]; then
+    echo "test-only oracles named outside _test.go files:" >&2
+    echo "$oracles" >&2
+    exit 1
+fi
+
 echo "== go test -race -short"
 go test -race -short ./...
 
