@@ -298,7 +298,7 @@ func backgroundPath(model acf.Model, n int, seed uint64, backend Backend) ([]flo
 	if err != nil {
 		return nil, err
 	}
-	return g.Path(context.Background(), model, n, seed)
+	return g.Path(context.TODO(), model, n, seed)
 }
 
 // ---------------------------------------------------------------------------
