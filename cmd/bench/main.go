@@ -12,8 +12,8 @@
 //
 // With -compare the freshly measured subset is diffed against the old
 // report per benchmark; any regression beyond -threshold (fractional
-// ns/op increase) makes the command exit nonzero, which is the CI
-// benchdiff gate.
+// ns/op increase), or a subset sharing no benchmark with the old report,
+// makes the command exit nonzero, which is the CI benchdiff gate.
 package main
 
 import (
@@ -118,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *compare != "" {
-		deltas, failed := benchreport.Compare(old, rep, *threshold)
+		deltas, err := benchreport.Compare(old, rep, *threshold)
 		for _, d := range deltas {
 			if d.Missing {
 				fmt.Fprintf(stdout, "%-28s %12.0f ns/op   (not in %s)\n", d.Name, d.New, *compare)
@@ -126,8 +126,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			fmt.Fprintf(stdout, "%-28s %12.0f -> %10.0f ns/op  %+6.1f%%\n", d.Name, d.Old, d.New, 100*d.Frac)
 		}
-		if failed {
-			return fmt.Errorf("benchmark regression beyond %.0f%% vs %s", 100**threshold, *compare)
+		if err != nil {
+			return fmt.Errorf("vs %s: %w", *compare, err)
 		}
 		fmt.Fprintf(stdout, "no regression beyond %.0f%% vs %s\n", 100**threshold, *compare)
 	}

@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}()
 	}
-	tr, err := readTrace(*in)
+	tr, err := trace.ReadFile(*in)
 	if err != nil {
 		return err
 	}
@@ -204,16 +204,4 @@ func srdString(weights, rates []float64) string {
 		}
 	}
 	return strings.Join(parts, " + ")
-}
-
-func readTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".bin") {
-		return trace.ReadBinary(f)
-	}
-	return trace.ReadCSV(f)
 }

@@ -25,7 +25,7 @@
 //	loadgen -selfserve -profile full -o BENCH_6.json
 //	loadgen -selfserve -profile smoke -compare BENCH_6.json -threshold 0.75
 //	loadgen -selfserve -profile step -o BENCH_7.json   # batched-stepping rung
-//	loadgen -selfserve -sessions 10000 -shards 4 -duration 5s
+//	loadgen -selfserve -sessions 10000 -duration 5s
 package main
 
 import (
@@ -75,7 +75,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 		selfserve = fs.Bool("selfserve", false, "capacity mode: embed the server in-process and measure serving capacity")
 		sessions  = fs.Int("sessions", 10000, "capacity mode: concurrent sessions to ramp to")
-		shards    = fs.Int("shards", 16, "capacity mode: session-registry shard count")
 		ramp      = fs.Duration("ramp", 0, "capacity mode: time over which the fleet ramps to -sessions (0 = as fast as possible)")
 		duration  = fs.Duration("duration", 5*time.Second, "capacity mode: steady-state measurement window at full fleet")
 		workers   = fs.Int("workers", 64, "capacity mode: concurrent request goroutines")
@@ -91,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *selfserve {
 		return runCapacity(ctx, capacityFlags{
-			sessions: *sessions, shards: *shards, workers: *workers, read: *read,
+			sessions: *sessions, workers: *workers, read: *read,
 			ramp: *ramp, duration: *duration, seed: *seed, procs: *procs,
 			profile: *profile, out: *out, compare: *compare, threshold: *threshold,
 		}, stdout)
@@ -289,11 +288,11 @@ func runTrunkSmoke(ctx context.Context, c *client.Client, n int, seed uint64, fr
 // Capacity mode
 
 type capacityFlags struct {
-	sessions, shards, workers, read, procs int
-	ramp, duration                         time.Duration
-	seed                                   uint64
-	profile, out, compare                  string
-	threshold                              float64
+	sessions, workers, read, procs int
+	ramp, duration                 time.Duration
+	seed                           uint64
+	profile, out, compare          string
+	threshold                      float64
 }
 
 // capacityRun is one measured configuration; name keys the benchreport
@@ -301,7 +300,6 @@ type capacityFlags struct {
 type capacityRun struct {
 	name     string
 	sessions int
-	shards   int
 	ramp     time.Duration
 	// stepN > 0 selects the batched-stepping measurement instead of frame
 	// reads: one driver goroutine advances the whole fleet by stepN frames
@@ -315,24 +313,22 @@ func runCapacity(ctx context.Context, f capacityFlags, stdout io.Writer) error {
 	switch f.profile {
 	case "":
 		runs = []capacityRun{{
-			name:     fmt.Sprintf("ServeFrames/sessions%d-shards%d", f.sessions, f.shards),
-			sessions: f.sessions, shards: f.shards, ramp: f.ramp,
+			name:     fmt.Sprintf("ServeFrames/sessions%d", f.sessions),
+			sessions: f.sessions, ramp: f.ramp,
 		}}
 	case "smoke":
 		// The CI subset: small enough to finish in seconds, present in the
 		// committed full report so -compare has something to diff.
 		runs = []capacityRun{
-			{name: "ServeFrames/sessions1k-shards16", sessions: 1000, shards: 16},
+			{name: "ServeFrames/sessions1k", sessions: 1000},
 		}
 	case "full":
-		// The committed BENCH_6.json set: the shard ablation at 10k
-		// sessions (1 shard = the pre-shard single-map registry) and the
+		// The committed BENCH_6.json set: 1k and 10k steady fleets and the
 		// 100k-session ramp that is the capacity headline.
 		runs = []capacityRun{
-			{name: "ServeFrames/sessions1k-shards16", sessions: 1000, shards: 16},
-			{name: "ServeFrames/sessions10k-shards1", sessions: 10000, shards: 1},
-			{name: "ServeFrames/sessions10k-shards16", sessions: 10000, shards: 16},
-			{name: "ServeFrames/ramp100k-shards16", sessions: 100000, shards: 16, ramp: f.ramp},
+			{name: "ServeFrames/sessions1k", sessions: 1000},
+			{name: "ServeFrames/sessions10k", sessions: 10000},
+			{name: "ServeFrames/ramp100k", sessions: 100000, ramp: f.ramp},
 		}
 	case "step":
 		// The batched-stepping rung for BENCH_7.json: one simulation driver
@@ -341,7 +337,7 @@ func runCapacity(ctx context.Context, f capacityFlags, stdout io.Writer) error {
 		// with -o BENCH_7.json it merges next to the cmd/bench ladder
 		// entries rather than replacing the file.
 		runs = []capacityRun{
-			{name: "StepFleet/sessions256-n1024", sessions: 256, shards: 16, stepN: 1024},
+			{name: "StepFleet/sessions256-n1024", sessions: 256, stepN: 1024},
 		}
 	default:
 		return fmt.Errorf("unknown -profile %q (want \"full\", \"smoke\", or \"step\")", f.profile)
@@ -365,25 +361,23 @@ func runCapacity(ctx context.Context, f capacityFlags, stdout io.Writer) error {
 		Date:       time.Now().UTC().Format(time.RFC3339),
 		Benchmarks: make(map[string]benchreport.Entry),
 	}
-	results := make(map[string]capacityResult, len(runs))
 	for _, cr := range runs {
 		var res capacityResult
 		var err error
 		if cr.stepN > 0 {
 			res, err = measureStep(ctx, stepConfig{
-				sessions: cr.sessions, shards: cr.shards, stepN: cr.stepN,
+				sessions: cr.sessions, stepN: cr.stepN,
 				duration: f.duration, seed: f.seed,
 			})
 		} else {
 			res, err = measureCapacity(ctx, capacityConfig{
-				sessions: cr.sessions, shards: cr.shards, workers: f.workers,
+				sessions: cr.sessions, workers: f.workers,
 				read: f.read, ramp: cr.ramp, duration: f.duration, seed: f.seed,
 			})
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", cr.name, err)
 		}
-		results[cr.name] = res
 		rep.Benchmarks[cr.name] = res.entry()
 		srvP99 := "n/a"
 		if res.serverP99OK {
@@ -394,20 +388,8 @@ func runCapacity(ctx context.Context, f capacityFlags, stdout io.Writer) error {
 			res.framesPerSec, res.framesPerSecPerCore(), res.rampElapsed.Round(time.Millisecond))
 	}
 
-	// The shard ablation headline: 16 shards vs the single-map baseline at
-	// the same fleet size, in frames/sec/core.
-	if one, ok := results["ServeFrames/sessions10k-shards1"]; ok {
-		if sixteen, ok := results["ServeFrames/sessions10k-shards16"]; ok && one.framesPerSec > 0 {
-			speedup := sixteen.framesPerSecPerCore() / one.framesPerSecPerCore()
-			e := rep.Benchmarks["ServeFrames/sessions10k-shards16"]
-			e.Extra["shard_speedup"] = speedup
-			rep.Benchmarks["ServeFrames/sessions10k-shards16"] = e
-			fmt.Fprintf(stdout, "shard speedup at 10k sessions: %.2fx (16 shards vs single map)\n", speedup)
-		}
-	}
-
 	if f.compare != "" {
-		deltas, failed := benchreport.Compare(old, rep, f.threshold)
+		deltas, err := benchreport.Compare(old, rep, f.threshold)
 		for _, d := range deltas {
 			if d.Missing {
 				fmt.Fprintf(stdout, "%-34s %12.0f ns/req   (not in %s)\n", d.Name, d.New, f.compare)
@@ -415,8 +397,8 @@ func runCapacity(ctx context.Context, f capacityFlags, stdout io.Writer) error {
 			}
 			fmt.Fprintf(stdout, "%-34s %12.0f -> %10.0f ns/req  %+6.1f%%\n", d.Name, d.Old, d.New, 100*d.Frac)
 		}
-		if failed {
-			return fmt.Errorf("capacity regression beyond %.0f%% vs %s", 100*f.threshold, f.compare)
+		if err != nil {
+			return fmt.Errorf("capacity vs %s: %w", f.compare, err)
 		}
 		fmt.Fprintf(stdout, "no capacity regression beyond %.0f%% vs %s\n", 100*f.threshold, f.compare)
 	}
@@ -440,19 +422,19 @@ func runCapacity(ctx context.Context, f capacityFlags, stdout io.Writer) error {
 }
 
 type capacityConfig struct {
-	sessions, shards, workers, read int
-	ramp, duration                  time.Duration
-	seed                            uint64
+	sessions, workers, read int
+	ramp, duration          time.Duration
+	seed                    uint64
 }
 
 type capacityResult struct {
-	sessions, shards, workers, read int
-	gomaxprocs                      int
-	rampElapsed                     time.Duration
-	requests                        int
-	meanNs                          float64
-	p50, p99                        time.Duration
-	framesPerSec                    float64
+	sessions, workers, read int
+	gomaxprocs              int
+	rampElapsed             time.Duration
+	requests                int
+	meanNs                  float64
+	p50, p99                time.Duration
+	framesPerSec            float64
 	// serverP99 is the p99 of vbrsim_http_request_seconds{endpoint="frames"}
 	// scraped from the server's own /metrics after the window — the
 	// server-side cross-check of the client-measured p99 above.
@@ -471,7 +453,6 @@ func (r capacityResult) entry() benchreport.Entry {
 		GOMAXPROCS: r.gomaxprocs,
 		Extra: map[string]float64{
 			"sessions":            float64(r.sessions),
-			"shards":              float64(r.shards),
 			"workers":             float64(r.workers),
 			"frames_per_request":  float64(r.read),
 			"ramp_seconds":        r.rampElapsed.Seconds(),
@@ -544,12 +525,11 @@ func (w *discardWriter) reset() {
 // measures steady-state frame-read capacity.
 func measureCapacity(ctx context.Context, cfg capacityConfig) (capacityResult, error) {
 	res := capacityResult{
-		sessions: cfg.sessions, shards: cfg.shards, workers: cfg.workers,
+		sessions: cfg.sessions, workers: cfg.workers,
 		read: cfg.read, gomaxprocs: runtime.GOMAXPROCS(0),
 	}
 	srv := server.New(server.Options{
 		MaxSessions: cfg.sessions + 1,
-		Shards:      cfg.shards,
 		Seed:        cfg.seed,
 		Registry:    obs.NewRegistry(),
 	})
@@ -663,9 +643,9 @@ func measureCapacity(ctx context.Context, cfg capacityConfig) (capacityResult, e
 }
 
 type stepConfig struct {
-	sessions, shards, stepN int
-	duration                time.Duration
-	seed                    uint64
+	sessions, stepN int
+	duration        time.Duration
+	seed            uint64
 }
 
 // measureStep ramps a block-engine paper fleet on a fresh in-process server
@@ -677,12 +657,11 @@ type stepConfig struct {
 // frame-read rungs.
 func measureStep(ctx context.Context, cfg stepConfig) (capacityResult, error) {
 	res := capacityResult{
-		sessions: cfg.sessions, shards: cfg.shards, workers: 1,
+		sessions: cfg.sessions, workers: 1,
 		read: cfg.stepN, gomaxprocs: runtime.GOMAXPROCS(0),
 	}
 	srv := server.New(server.Options{
 		MaxSessions: cfg.sessions + 1,
-		Shards:      cfg.shards,
 		Seed:        cfg.seed,
 		Registry:    obs.NewRegistry(),
 	})

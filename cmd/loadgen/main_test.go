@@ -78,7 +78,7 @@ func TestLoadgenMissingAddr(t *testing.T) {
 // BENCH_6.json readers rely on.
 func TestMeasureCapacitySmall(t *testing.T) {
 	res, err := measureCapacity(context.Background(), capacityConfig{
-		sessions: 8, shards: 2, workers: 4, read: 2,
+		sessions: 8, workers: 4, read: 2,
 		duration: 100 * time.Millisecond,
 		seed:     42,
 	})
@@ -92,7 +92,7 @@ func TestMeasureCapacitySmall(t *testing.T) {
 		t.Fatalf("percentiles inverted: p50=%v p99=%v", res.p50, res.p99)
 	}
 	e := res.entry()
-	if e.NsPerOp <= 0 || e.Extra["sessions"] != 8 || e.Extra["shards"] != 2 {
+	if e.NsPerOp <= 0 || e.Extra["sessions"] != 8 {
 		t.Fatalf("malformed entry: %+v", e)
 	}
 	if e.Extra["frames_per_sec_core"] <= 0 || e.Extra["p99_us"] <= 0 {
@@ -111,7 +111,7 @@ func TestMeasureCapacitySmall(t *testing.T) {
 // value by whole buckets or kills it entirely.
 func TestServerP99AgreesWithClient(t *testing.T) {
 	res, err := measureCapacity(context.Background(), capacityConfig{
-		sessions: 8, shards: 2, workers: 4, read: 2,
+		sessions: 8, workers: 4, read: 2,
 		duration: 200 * time.Millisecond,
 		seed:     43,
 	})
@@ -151,7 +151,7 @@ func TestServerP99AgreesWithClient(t *testing.T) {
 // coherent benchreport entry with the frames/sec/core extras.
 func TestMeasureStepSmall(t *testing.T) {
 	res, err := measureStep(context.Background(), stepConfig{
-		sessions: 4, shards: 2, stepN: 64,
+		sessions: 4, stepN: 64,
 		duration: 50 * time.Millisecond,
 		seed:     42,
 	})
@@ -191,7 +191,7 @@ func TestReportMergeOnWrite(t *testing.T) {
 
 	var out bytes.Buffer
 	err := runCapacity(context.Background(), capacityFlags{
-		sessions: 4, shards: 2, workers: 2, read: 2,
+		sessions: 4, workers: 2, read: 2,
 		duration: 50 * time.Millisecond, seed: 7, procs: 1,
 		out: path,
 	}, &out)
@@ -205,8 +205,30 @@ func TestReportMergeOnWrite(t *testing.T) {
 	if _, ok := got.Benchmarks["Other/ladder-entry"]; !ok {
 		t.Fatalf("merge dropped unrelated entry: %v", got.Benchmarks)
 	}
-	if _, ok := got.Benchmarks["ServeFrames/sessions4-shards2"]; !ok {
+	if _, ok := got.Benchmarks["ServeFrames/sessions4"]; !ok {
 		t.Fatalf("fresh entry missing: %v", got.Benchmarks)
+	}
+}
+
+// TestCapacityCompareNeedsSharedRung: -compare against a report that has
+// none of the measured rungs (a renamed rung, a stale baseline) must fail,
+// not report "no regression" after comparing nothing.
+func TestCapacityCompareNeedsSharedRung(t *testing.T) {
+	path := t.TempDir() + "/baseline.json"
+	base := benchreport.Report{Benchmarks: map[string]benchreport.Entry{
+		"ServeFrames/sessions4-shards2": {NsPerOp: 1e6},
+	}}
+	if err := base.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := runCapacity(context.Background(), capacityFlags{
+		sessions: 4, workers: 2, read: 2,
+		duration: 50 * time.Millisecond, seed: 7, procs: 1,
+		compare: path, threshold: 0.75,
+	}, &out)
+	if err == nil || !strings.Contains(err.Error(), "baseline") {
+		t.Fatalf("compare with no shared rung: err = %v\n%s", err, out.String())
 	}
 }
 

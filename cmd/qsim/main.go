@@ -162,7 +162,7 @@ type qsimFlags struct {
 // qsimRun is the tool body: everything after flag parsing and observability
 // setup. It fills results for the run manifest.
 func qsimRun(ctx context.Context, stdout io.Writer, f qsimFlags, results map[string]any) error {
-	tr, err := readTrace(f.in)
+	tr, err := trace.ReadFile(f.in)
 	if err != nil {
 		return err
 	}
@@ -324,16 +324,4 @@ func log10(p float64) float64 {
 		return math.Inf(-1)
 	}
 	return math.Log10(p)
-}
-
-func readTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".bin") {
-		return trace.ReadBinary(f)
-	}
-	return trace.ReadCSV(f)
 }

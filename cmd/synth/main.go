@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *in == "" {
 		return fmt.Errorf("missing -i input trace")
 	}
-	tr, err := readTrace(*in)
+	tr, err := trace.ReadFile(*in)
 	if err != nil {
 		return err
 	}
@@ -121,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "mean absolute ACF error over %d lags: %.4f\n", n, mae/float64(n))
 
 	if *out != "" {
-		if err := writeTrace(*out, syn); err != nil {
+		if err := syn.WriteFile(*out); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "wrote %s\n", *out)
@@ -162,35 +162,6 @@ func writeComparisons(prefix string, stderr io.Writer, emp, syn *trace.Trace, ea
 			fmt.Fprintf(f, "%g\t%g\n", qe[i], qs[i])
 		}
 	})
-}
-
-func readTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".bin") {
-		return trace.ReadBinary(f)
-	}
-	return trace.ReadCSV(f)
-}
-
-func writeTrace(path string, tr *trace.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".bin") {
-		err = tr.WriteBinary(f)
-	} else {
-		err = tr.WriteCSV(f)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func writeDat(path string, stderr io.Writer, fill func(io.Writer)) error {

@@ -50,7 +50,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var (
 		addr         = fs.String("addr", ":8080", "listen address (host:0 picks an ephemeral port)")
 		maxSessions  = fs.Int("max-sessions", 64, "max concurrently open streaming sessions (excess gets 429)")
-		shards       = fs.Int("shards", 16, "session-registry shard count (rounded up to a power of two)")
 		maxCost      = fs.Float64("max-cost", 0, "admission-control cost budget in session units (0 = 16 per session slot)")
 		idleTimeout  = fs.Duration("idle-timeout", 0, "evict sessions untouched for this long (0 = never)")
 		jobWorkers   = fs.Int("job-workers", 0, "job worker-pool size (0 = min(GOMAXPROCS, 4))")
@@ -83,7 +82,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// same /metrics page.
 	srv := server.New(server.Options{
 		MaxSessions:   *maxSessions,
-		Shards:        *shards,
 		MaxCost:       *maxCost,
 		IdleTimeout:   *idleTimeout,
 		JobWorkers:    *jobWorkers,

@@ -6,9 +6,11 @@ package benchreport
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 )
 
 // Entry is one benchmark's measurement in a report.
@@ -45,27 +47,38 @@ type Delta struct {
 	Missing bool
 }
 
-// Compare diffs fresh against old per benchmark and reports whether any
-// shared benchmark regressed beyond threshold (fractional ns/op increase).
-// Improvements and new/vanished benchmarks never fail.
-func Compare(old, fresh Report, threshold float64) (deltas []Delta, failed bool) {
+// Compare diffs fresh against old per benchmark. It fails when a shared
+// benchmark regressed beyond threshold (fractional ns/op increase), and
+// when no benchmark is shared at all: a gate that compares nothing must
+// not pass. Improvements and new/vanished benchmarks never fail.
+func Compare(old, fresh Report, threshold float64) (deltas []Delta, err error) {
+	shared := 0
+	var regressed []string
 	for name, n := range fresh.Benchmarks {
 		o, ok := old.Benchmarks[name]
 		if !ok {
 			deltas = append(deltas, Delta{Name: name, New: n.NsPerOp, Missing: true})
 			continue
 		}
+		shared++
 		d := Delta{Name: name, Old: o.NsPerOp, New: n.NsPerOp}
 		if o.NsPerOp > 0 {
 			d.Frac = (n.NsPerOp - o.NsPerOp) / o.NsPerOp
 		}
 		if d.Frac > threshold {
-			failed = true
+			regressed = append(regressed, name)
 		}
 		deltas = append(deltas, d)
 	}
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Name < deltas[j].Name })
-	return deltas, failed
+	switch {
+	case shared == 0:
+		return deltas, errors.New("no measured benchmark is in the baseline")
+	case len(regressed) > 0:
+		sort.Strings(regressed)
+		return deltas, fmt.Errorf("regression beyond %.0f%%: %s", 100*threshold, strings.Join(regressed, ", "))
+	}
+	return deltas, nil
 }
 
 // ReadFile loads a committed report.

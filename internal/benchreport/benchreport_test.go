@@ -16,9 +16,9 @@ func mkReport(ns map[string]float64) Report {
 func TestComparePassesWithinThreshold(t *testing.T) {
 	old := mkReport(map[string]float64{"A": 100, "B": 200})
 	fresh := mkReport(map[string]float64{"A": 120, "B": 150})
-	deltas, failed := Compare(old, fresh, 0.25)
-	if failed {
-		t.Fatal("20% regression failed a 25% threshold")
+	deltas, err := Compare(old, fresh, 0.25)
+	if err != nil {
+		t.Fatalf("20%% regression failed a 25%% threshold: %v", err)
 	}
 	if len(deltas) != 2 {
 		t.Fatalf("got %d deltas, want 2", len(deltas))
@@ -35,7 +35,7 @@ func TestComparePassesWithinThreshold(t *testing.T) {
 func TestCompareFailsBeyondThreshold(t *testing.T) {
 	old := mkReport(map[string]float64{"A": 100})
 	fresh := mkReport(map[string]float64{"A": 140})
-	if _, failed := Compare(old, fresh, 0.25); !failed {
+	if _, err := Compare(old, fresh, 0.25); err == nil {
 		t.Fatal("40% regression passed a 25% threshold")
 	}
 }
@@ -43,17 +43,17 @@ func TestCompareFailsBeyondThreshold(t *testing.T) {
 func TestCompareImprovementNeverFails(t *testing.T) {
 	old := mkReport(map[string]float64{"A": 100})
 	fresh := mkReport(map[string]float64{"A": 10})
-	if _, failed := Compare(old, fresh, 0.25); failed {
-		t.Fatal("a 10x improvement failed the gate")
+	if _, err := Compare(old, fresh, 0.25); err != nil {
+		t.Fatalf("a 10x improvement failed the gate: %v", err)
 	}
 }
 
 func TestCompareNewBenchmarkIsNotARegression(t *testing.T) {
 	old := mkReport(map[string]float64{"A": 100})
 	fresh := mkReport(map[string]float64{"A": 100, "NEW": 999})
-	deltas, failed := Compare(old, fresh, 0.25)
-	if failed {
-		t.Fatal("a benchmark missing from the old report failed the gate")
+	deltas, err := Compare(old, fresh, 0.25)
+	if err != nil {
+		t.Fatalf("a benchmark missing from the old report failed the gate: %v", err)
 	}
 	var found bool
 	for _, d := range deltas {
@@ -66,6 +66,21 @@ func TestCompareNewBenchmarkIsNotARegression(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("NEW missing from deltas")
+	}
+}
+
+// TestCompareNothingSharedFails: when every freshly measured benchmark is
+// missing from the baseline (a renamed rung, a stale report) the gate has
+// compared nothing and must fail rather than pass vacuously.
+func TestCompareNothingSharedFails(t *testing.T) {
+	old := mkReport(map[string]float64{"Old/name": 100})
+	fresh := mkReport(map[string]float64{"New/name": 100})
+	deltas, err := Compare(old, fresh, 0.25)
+	if err == nil {
+		t.Fatal("a compare with no shared benchmark passed")
+	}
+	if len(deltas) != 1 || !deltas[0].Missing {
+		t.Fatalf("deltas = %+v, want the one fresh benchmark marked Missing", deltas)
 	}
 }
 

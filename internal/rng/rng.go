@@ -54,6 +54,14 @@ func splitMix64(state uint64) (next, out uint64) {
 	return state, z
 }
 
+// Derive returns the (i+1)-th output of the SplitMix64 sequence started at
+// seed, in O(1): a well-mixed child seed that is a pure function of
+// (seed, i), decorrelated from its neighbours even for adjacent seeds.
+func Derive(seed, i uint64) uint64 {
+	_, out := splitMix64(seed + i*0x9e3779b97f4a7c15)
+	return out
+}
+
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.

@@ -64,6 +64,21 @@ func TestSplitDeterministic(t *testing.T) {
 	}
 }
 
+// TestDeriveIsSplitMix64Output pins Derive to the sequence it shortcuts:
+// Derive(s, i) is the (i+1)-th output of splitMix64 iterated from state s.
+func TestDeriveIsSplitMix64Output(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 0x9e3779b97f4a7c15, math.MaxUint64} {
+		state := seed
+		for i := uint64(0); i < 64; i++ {
+			var out uint64
+			state, out = splitMix64(state)
+			if got := Derive(seed, i); got != out {
+				t.Fatalf("Derive(%#x, %d) = %#x, want output %d of the sequence, %#x", seed, i, got, i+1, out)
+			}
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -195,6 +194,9 @@ func (p *jobPool) worker(ctx context.Context) {
 		js.job.Status = "running"
 		js.job.Started = &start
 		req := js.req
+		// Jobs stay listed for the life of the process; the request (a fit
+		// trace can be MaxBodyBytes) is needed only by this run.
+		js.req = JobRequest{}
 		js.mu.Unlock()
 
 		result, err := runJob(ctx, req, p.s.metrics)
@@ -305,8 +307,7 @@ func runQsim(ctx context.Context, req JobRequest, mt *metrics) (any, error) {
 
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	switch req.Kind {

@@ -14,8 +14,7 @@ import (
 // poor label values, and a stable short name keeps dashboards readable.
 func (s *Server) route(pattern, endpoint string, h http.Handler) {
 	// Pre-touch the per-endpoint series so the exposition shows the full
-	// route table (zero-valued endpoints included) from the first scrape,
-	// like the shard gauges.
+	// route table (zero-valued endpoints included) from the first scrape.
 	s.metrics.httpErrors.With(endpoint).Add(0)
 	s.metrics.httpSeconds.With(endpoint)
 	s.mux.Handle(pattern, s.instrument(endpoint, h))

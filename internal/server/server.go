@@ -49,10 +49,6 @@ type Options struct {
 	// MaxSessions caps concurrently open streaming sessions; creations
 	// beyond it get 429. Default 64.
 	MaxSessions int
-	// Shards is the session-registry shard count, rounded up to a power of
-	// two. Each shard has its own lock and map, so concurrent requests for
-	// different sessions contend only 1/Shards of the time. Default 16.
-	Shards int
 	// MaxCost is the admission-control budget in session cost units (see
 	// estimateStreamCost). 0 derives a budget from MaxSessions generous
 	// enough that cost never binds before the session cap for typical
@@ -112,9 +108,6 @@ const defaultCostPerSession = 16
 func (o *Options) fill() {
 	if o.MaxSessions <= 0 {
 		o.MaxSessions = 64
-	}
-	if o.Shards <= 0 {
-		o.Shards = 16
 	}
 	if o.MaxCost <= 0 {
 		o.MaxCost = defaultCostPerSession * float64(o.MaxSessions)
@@ -193,19 +186,11 @@ func New(opt Options) *Server {
 		mux:     http.NewServeMux(),
 		metrics: newMetrics(reg),
 		adm:     newAdmission(opt.MaxCost, opt.MaxSessions),
+		reg:     newSessionRegistry(),
 		started: time.Now(),
 	}
 	if opt.AccessLog != nil {
 		s.access = obs.NewTracer(opt.AccessLog)
-	}
-	s.reg = newSessionRegistry(opt.Shards, func(shard, active int) {
-		s.metrics.shardSessions.With(shardLabel(shard)).Set(float64(active))
-	})
-	// Pre-touch every shard's gauges and counters so the exposition shows
-	// the full topology (all-zero shards included) from the first scrape.
-	for i := 0; i < s.reg.numShards(); i++ {
-		s.metrics.shardSessions.With(shardLabel(i)).Set(0)
-		s.metrics.shardRequests.With(shardLabel(i)).Add(0)
 	}
 	s.registerStatmonGauges(reg)
 	reg.GaugeFunc("vbrsim_server_admission_cost_used",

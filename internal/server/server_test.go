@@ -431,6 +431,52 @@ func TestJobValidation(t *testing.T) {
 	}
 }
 
+// TestJobReleasesRequest checks that a finished job no longer holds its
+// request: the job record lives as long as the process, and a fit trace
+// can be as large as MaxBodyBytes.
+func TestJobReleasesRequest(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	trace := make([]float64, 4096)
+	for i := range trace {
+		trace[i] = float64(1000 + i%7)
+	}
+	resp := postJSON(t, ts.URL+"/v1/jobs", JobRequest{Kind: "fit", Trace: trace, Seed: 1})
+	if resp.StatusCode != http.StatusAccepted {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("fit submit: %d %s", resp.StatusCode, body)
+	}
+	job := waitJob(t, ts.URL, decodeJSON[Job](t, resp).ID)
+	js, ok := s.jobs.get(job.ID)
+	if !ok {
+		t.Fatalf("job %s not in the pool", job.ID)
+	}
+	js.mu.Lock()
+	req := js.req
+	js.mu.Unlock()
+	if req.Trace != nil || req.Kind != "" {
+		t.Fatalf("job %s (%s) still holds its request: kind %q, %d trace frames",
+			job.ID, job.Status, req.Kind, len(req.Trace))
+	}
+}
+
+// TestJobCreateRejectsUnknownField holds POST /v1/jobs to the same strict
+// decoding as every other POST body: a misspelled field is a 400, not a
+// silently ignored setting.
+func TestJobCreateRejectsUnknownField(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"kind":"qsim-mc","buffer":5,"replicatons":10}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "replicatons") {
+		t.Fatalf("unknown field: HTTP %d %s, want 400 naming the field", resp.StatusCode, body)
+	}
+}
+
 func TestDrainRejectsNewWork(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	createStream(t, ts.URL, paperSpec(8))

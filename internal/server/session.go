@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"vbrsim/internal/modelspec"
+	"vbrsim/internal/rng"
 	"vbrsim/internal/statmon"
 	"vbrsim/internal/trunk"
 )
@@ -129,7 +130,7 @@ func (ss *session) infoLocked() SessionInfo {
 // ---------------------------------------------------------------------------
 // Session registry (on Server)
 
-// addSession assigns the next session ID and registers ss in its shard.
+// addSession assigns the next session ID and registers ss.
 // Admission (session cap, cost budget, drain) already happened in
 // reserve; registration cannot fail.
 func (s *Server) addSession(ss *session) {
@@ -144,13 +145,7 @@ func (s *Server) addSession(ss *session) {
 }
 
 func (s *Server) getSession(id string) (*session, bool) {
-	ss, ok := s.reg.get(id)
-	if ok {
-		// Per-shard lookup counter: with the sharded registry, a skewed
-		// request mix shows up here long before it shows up as contention.
-		s.metrics.shardRequests.With(shardLabel(s.reg.shardFor(id))).Inc()
-	}
-	return ss, ok
+	return s.reg.get(id)
 }
 
 func (s *Server) removeSession(id string) bool {
@@ -194,10 +189,11 @@ func (s *Server) rejectCreate(w http.ResponseWriter, err error) {
 }
 
 // deriveSeed assigns a deterministic seed to the n-th (n >= 1) auto-seeded
-// session: trunk.SourceSeed's SplitMix64 mix of the server base seed at
-// ordinal n-1. The same base seed reproduces the same seed sequence, and the
-// seed is echoed in the create response so clients can regenerate offline.
-func deriveSeed(base, ordinal uint64) uint64 { return trunk.SourceSeed(base, int(ordinal)-1) }
+// session: rng.Derive of the server base seed at n-1, the derivation
+// trunk.SourceSeed uses for trunk sources. The same base seed reproduces the
+// same seed sequence, and the seed is echoed in the create response so
+// clients can regenerate offline.
+func deriveSeed(base, ordinal uint64) uint64 { return rng.Derive(base, ordinal-1) }
 
 // ---------------------------------------------------------------------------
 // HTTP handlers

@@ -97,7 +97,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		fleet.MeanHurst /= float64(fleet.hurstN)
 	}
 	rep.Statmon = fleet
-	// Sorted so the report is deterministic across registry shards.
+	// Sorted so the report does not follow map iteration order.
 	slices.SortFunc(rep.DriftingIDs, compareSessionIDs)
 	writeJSON(w, http.StatusOK, rep)
 }

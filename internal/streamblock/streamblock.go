@@ -167,15 +167,10 @@ func (e *Engine) Horizon() int { return e.horizon }
 // (0 means the per-block synthesis is exact).
 func (e *Engine) NegativeMass() float64 { return e.plan.NegativeMass() }
 
-// blockSeed derives the RNG seed of one block: a SplitMix64 mix of the
-// stream seed and the block index, so block k is a pure function of
-// (seed, k) — the property O(1) seek rests on.
-func blockSeed(seed uint64, block int) uint64 {
-	z := seed + (uint64(block)+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// blockSeed derives the RNG seed of one block (rng.Derive of the stream
+// seed and the block index), so block k is a pure function of (seed, k) —
+// the property O(1) seek rests on.
+func blockSeed(seed uint64, block int) uint64 { return rng.Derive(seed, uint64(block)) }
 
 // Stream is one unbounded background stream: the per-session arena plus the
 // read cursor. It is bound to a single goroutine.

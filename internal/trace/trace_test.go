@@ -3,6 +3,9 @@ package trace
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -242,6 +245,32 @@ func TestCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
+	}
+}
+
+// TestFileRoundTrip writes a trace under both suffixes and reads it back:
+// ".bin" must select the binary format and anything else CSV, losslessly.
+func TestFileRoundTrip(t *testing.T) {
+	tr := sampleTrace()
+	for _, name := range []string{"trace.csv", "trace.bin"} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := tr.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if isBin := bytes.HasPrefix(raw, binaryMagic[:]); isBin != strings.HasSuffix(name, ".bin") {
+			t.Errorf("%s: binary magic present = %v", name, isBin)
+		}
+		got, err := ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, tr) {
+			t.Errorf("%s round trip:\n got %+v\nwant %+v", name, got, tr)
+		}
 	}
 }
 

@@ -22,17 +22,15 @@ import (
 
 	"vbrsim/internal/modelspec"
 	"vbrsim/internal/par"
+	"vbrsim/internal/rng"
 )
 
 // SourceSeed derives the seed of flattened source ordinal s of a trunk
-// keyed by trunkSeed, via the SplitMix64 finalizer over golden-ratio
-// increments — the same mix trafficd uses to assign session seeds. Distinct
-// ordinals decorrelate completely even for adjacent trunk seeds.
+// keyed by trunkSeed (rng.Derive, the same derivation trafficd uses to
+// assign session seeds). Distinct ordinals decorrelate completely even for
+// adjacent trunk seeds.
 func SourceSeed(trunkSeed uint64, ordinal int) uint64 {
-	z := trunkSeed + (uint64(ordinal)+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.Derive(trunkSeed, uint64(ordinal))
 }
 
 // trunkChunk is the fan-out granularity of Fill: component streams fill

@@ -43,12 +43,13 @@ echo "== perfbench module"
 # and server directly.
 (cd perfbench && go vet ./... && go test -short ./...)
 
-echo "== shard gates"
-# The sharded-registry invariants at full strength (the -short run above
-# uses reduced iterations): shard topology must be invisible on the wire
-# (1/4/16 shards byte-identical) and 64-goroutine churn with the idle
-# evictor racing real traffic must leak no sessions, cost, or arena bytes.
-go test -race -run 'TestShardInvariance|TestShardedRegistryChurnStress' \
+echo "== registry gates"
+# The session-registry invariants at full strength (the -short run above
+# uses reduced iterations): one fixed request script must produce
+# byte-identical responses on two fresh servers, and 64-goroutine churn
+# with the idle evictor racing real traffic must leak no sessions, cost,
+# or arena bytes.
+go test -race -run 'TestRequestScriptDeterminism|TestRegistryChurnStress' \
     -count=1 ./internal/server
 
 echo "== conformance -quick"
@@ -82,11 +83,11 @@ go run ./cmd/bench -benchtime 300ms \
     -compare BENCH_8.json -threshold 0.25
 
 echo "== capacity ramp smoke"
-# Serving-capacity gate: ramp a 1k-session in-process fleet through the
-# sharded registry and diff request latency against the committed
-# BENCH_6.json entry. The smoke profile measures only the 1k rung (the
-# 10k/100k rungs in BENCH_6.json are recorded by -profile full and are
-# ignored by the diff, which only gates shared benchmarks). The 75%
+# Serving-capacity gate: ramp a 1k-session in-process fleet and diff
+# request latency against the committed BENCH_6.json entry. The smoke
+# profile measures only the 1k rung (the 10k/100k rungs in BENCH_6.json
+# are recorded by -profile full and are ignored by the diff, which only
+# gates shared benchmarks; a run sharing none fails). The 75%
 # threshold is deliberately loose — serving latency on shared CI hosts
 # is far noisier than the compute kernels above.
 go run ./cmd/loadgen -selfserve -profile smoke \
